@@ -79,8 +79,12 @@ def _run_backend(scenario: Scenario, times, backend: str) -> Trajectory:
 
 
 def compute_records(scenario: Scenario, times, backend: str, converge: bool = False):
+    """Records of one trajectory; ``converge`` refines the Fock cutoffs of dense/oracle runs.
+
+    Branch records never depend on the cutoffs, so they return after one pass.
+    """
     records = _run_backend(scenario, times, backend).records()
-    if not converge:
+    if not converge or backend == "branch":
         return records
     for _ in range(CONVERGE_MAX_PASSES):
         n1, n2 = scenario.truncations()
@@ -144,6 +148,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}", key="jobs")
     scenario, sweep = _load_config(args.config)
     scenario = _apply_overrides(scenario, args)
     backend = args.backend or sweep.backend
@@ -225,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--converge",
             action="store_true",
-            help="raise the cutoffs by 5 until concurrences move by < 1e-6",
+            help="dense/oracle only: raise the cutoffs by 5 until concurrences move by "
+            "< 1e-6 (branch records do not depend on the cutoffs)",
         )
 
     p = sub.add_parser("simulate", help="single trajectory from a config file")

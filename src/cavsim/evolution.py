@@ -19,8 +19,10 @@ eigenvalue of ``sigma_z . - . sigma_z`` on the block (0 on diagonal dyads, +2 on
 
 Two equivalent backends are provided: a dense matrix backend
 (:func:`run_scenario`) and an exact coherent-branch backend
-(:func:`branch_run`) whose cost is independent of the Fock truncation until a
-snapshot is densified.
+(:func:`branch_run`).  Branch records never densify: each snapshot is
+compressed onto the orthonormalized span of its coherent labels
+(:func:`branch_compress`), so the Fock cutoffs N1/N2 only affect
+:meth:`Trajectory.dense_state`.
 
 Units: time in microseconds, angular frequencies in rad/us.  The conventional
 "kHz" experimental values map to 1e-3 rad/us.
@@ -44,6 +46,8 @@ from .hilbert import (
     TRACE_TOL,
     DensityMatrix,
     PureState,
+    SubsystemLayout,
+    coherent_overlap,
     coherent_vector,
     standard_layout,
 )
@@ -437,6 +441,7 @@ class Trajectory:
     states: list
 
     def dense_state(self, i: int) -> DensityMatrix:
+        """Snapshot i in Fock space; branch states are densified at the scenario cutoffs."""
         st = self.states[i]
         if isinstance(st, BranchState):
             return branch_densify(st, self.scenario)
@@ -447,8 +452,8 @@ class Trajectory:
 
     def records(self) -> list[ConcurrenceRecord]:
         recs = []
-        for i, t in enumerate(self.times):
-            dm = self.dense_state(i)
+        for st, t in zip(self.states, self.times):
+            dm = branch_compress(st) if isinstance(st, BranchState) else st
             pc = entanglement.pairwise_concurrences(dm)
             recs.append(
                 ConcurrenceRecord(
@@ -651,6 +656,48 @@ def branch_densify(bs: BranchState, scenario: Scenario) -> DensityMatrix:
     return DensityMatrix(layout, out.reshape(layout.dim, layout.dim))
 
 
+def _label_isometry(labels: list) -> np.ndarray:
+    """Columns are the coordinates of the coherent states |labels> in an orthonormal basis.
+
+    With the Gram matrix G = U diag(lam) U^dag of exact overlaps, L = diag(lam)^1/2 U^dag
+    satisfies L^dag L = G.  No inverse is taken, so coinciding labels are harmless.
+    At least two rows are kept so that every field stays an (effective) qubit.
+    """
+    gram = np.array([[coherent_overlap(a, b) for b in labels] for a in labels])
+    lam, vecs = np.linalg.eigh(gram)
+    iso = np.zeros((max(2, len(labels)), len(labels)), dtype=complex)
+    iso[: len(labels)] = np.sqrt(np.clip(lam, 0.0, None))[:, None] * vecs.conj().T
+    return iso
+
+
+def branch_compress(bs: BranchState) -> DensityMatrix:
+    """Exact small DensityMatrix of a BranchState on its coherent-label bases.
+
+    Field i is represented on the orthonormalized span of its distinct labels,
+    of dimension r_i = max(2, label count), giving the layout (2, r1, r2).  The
+    result is the dense state conjugated by an isometry, so concurrences,
+    effective-qubit reductions and purity equal those of the untruncated state.
+    """
+    rows = [(s, sp, *term) for (s, sp), lst in bs.terms.items() for term in lst]
+    atom_u, atom_v, w, u1, v1, u2, v2 = (list(col) for col in zip(*rows))
+    labels1 = list(dict.fromkeys(u1 + v1))
+    labels2 = list(dict.fromkeys(u2 + v2))
+    iso1, iso2 = _label_isometry(labels1), _label_isometry(labels2)
+    r1, r2 = iso1.shape[0], iso2.shape[0]
+
+    def side(atom, lab1, lab2):
+        # |atom> (x) |lab1> (x) |lab2> in label coordinates, one row per term
+        vec = np.zeros((len(rows), 2, r1, r2), dtype=complex)
+        c1 = iso1[:, [labels1.index(a) for a in lab1]].T
+        c2 = iso2[:, [labels2.index(b) for b in lab2]].T
+        vec[np.arange(len(rows)), atom] = c1[:, :, None] * c2[:, None, :]
+        return vec.reshape(len(rows), -1)
+
+    left, right = side(atom_u, u1, u2), side(atom_v, v1, v2)
+    data = (left.T * np.asarray(w)) @ right.conj()
+    return DensityMatrix(SubsystemLayout((2, r1, r2), ("atom", "field1", "field2")), data)
+
+
 def _branch_dress(bs: BranchState, scenario: Scenario, t: float) -> BranchState:
     """Free-phase dressing of a rotating-frame BranchState at elapsed time t."""
     q1 = np.exp(-1j * scenario.omega_tilde(1) * t)
@@ -666,7 +713,7 @@ def _branch_dress(bs: BranchState, scenario: Scenario, t: float) -> BranchState:
 
 
 def branch_run(scenario: Scenario, sample_times, initial: BranchState | None = None) -> Trajectory:
-    """Coherent-branch traversal; snapshots stay sparse until densified.
+    """Coherent-branch traversal; snapshots stay sparse (see :func:`branch_compress`).
 
     Lab mode dresses the rotating-frame snapshots with the free phases
     accumulated since t0, mirroring :func:`run_scenario`.

@@ -36,7 +36,6 @@ class IntegratorConfig:
     initial_step: float = 0.1
     abs_tol: float = 1e-11
     max_step: float = 2.0
-    order: int = 4  # fixed 4th-order scheme; adaptivity is by step halving only
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.initial_step <= 0 or self.max_step <= 0:

@@ -117,8 +117,13 @@ def test_criterion_3_oracle_certification():
 
 
 def test_criterion_4_branch_backend_certification():
-    """Branch vs dense on the full experimental grid (< 1e-8) and >= 10x faster at N=25."""
+    """Branch vs dense on the full experimental grid (< 1e-8) and >= 10x faster at N=25.
+
+    Both the states (trace distance) and the records (concurrences and purity,
+    which the branch backend extracts without densifying) are certified.
+    """
     worst_pair = None
+    worst_record = 0.0
     ok = True
     for alpha in AMPLITUDES:
         for beta in AMPLITUDES:
@@ -140,6 +145,14 @@ def test_criterion_4_branch_backend_certification():
                         ):
                             ok = False
                             worst_pair = (alpha, beta, g, q, times[i])
+                    for a, b in zip(dense.records(), branch.records()):
+                        worst_record = max(
+                            worst_record,
+                            abs(a.c_af1 - b.c_af1),
+                            abs(a.c_af2 - b.c_af2),
+                            abs(a.c_f1f2 - b.c_f1f2),
+                            abs(a.purity - b.purity),
+                        )
     # relative timing gate at N = 25 (snapshot evolution, densification on demand)
     sc25 = Scenario().variant(alpha=1.0, beta=1.0, g=0.05, q=0.05, n1=25, n2=25)
     times25 = np.linspace(0.0, sc25.total_time(), 10)
@@ -150,12 +163,14 @@ def test_criterion_4_branch_backend_certification():
     branch_run(sc25, times25)
     branch_time = time.perf_counter() - t0
     speedup = dense_time / max(branch_time, 1e-9)
-    ok = ok and speedup >= 10.0
+    ok = ok and worst_record < 1e-8 and speedup >= 10.0
     report(
         f"ACCEPTANCE 4 branch certification: {'PASS' if ok else 'FAIL'} "
-        f"(144 runs certified < 1e-8, speedup x{speedup:.0f})"
+        f"(144 runs certified < 1e-8, worst record gap {worst_record:.1e}, "
+        f"speedup x{speedup:.0f})"
     )
     assert worst_pair is None, f"branch/dense disagree at {worst_pair}"
+    assert worst_record < 1e-8, f"branch/dense records differ by {worst_record:.3e}"
     assert speedup >= 10.0
 
 

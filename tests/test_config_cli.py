@@ -160,6 +160,19 @@ class TestCliCommands:
         assert (tmp_path / "a0.5_b0.5_g0_q0.csv").exists()
         assert (tmp_path / "a0.5_b0.5_g0.5_q0.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_rejects_nonpositive_jobs(self, tmp_path, monkeypatch, jobs):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep_g = 0\nsweep_q = 0\nn_samples = 2\nbackend = branch\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--jobs", jobs]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_phase_space_command(self, tmp_path):
         cfg = tmp_path / "ps.cfg"
         cfg.write_text("alpha = 1.0\ng = 0.2\nn_samples = 4\n")
@@ -196,3 +209,15 @@ class TestConvergencePass:
         base = compute_records(sc, times, "branch", converge=False)
         for a, b in zip(recs, base):
             assert abs(a.c_af1 - b.c_af1) < 1e-6
+
+    def test_branch_converge_runs_one_pass(self, monkeypatch):
+        from cavsim import cli
+
+        calls = []
+        run = cli._run_backend
+        monkeypatch.setattr(
+            cli, "_run_backend", lambda *a: calls.append(a[0].truncations()) or run(*a)
+        )
+        sc = Scenario().variant(alpha=0.5, beta=0.5, g=0.05, q=0.05)
+        cli.compute_records(sc, np.linspace(0.0, sc.total_time(), 3), "branch", converge=True)
+        assert len(calls) == 1

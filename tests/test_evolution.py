@@ -27,10 +27,10 @@ from cavsim import (
 )
 from cavsim.analytic import coherence_factor
 from cavsim.evolution import BranchState as BS
-from cavsim.evolution import branch_densify, branch_step
-from cavsim.hilbert import coherent_vector
+from cavsim.evolution import branch_compress, branch_densify, branch_step
+from cavsim.hilbert import coherent_overlap, coherent_vector
 
-from conftest import margin_scenario, stage1_scenario
+from conftest import margin_scenario, random_density, stage1_scenario
 
 
 def embed_field1(rho_field: np.ndarray, n1: int, n2: int, atom_level: int = 0) -> DensityMatrix:
@@ -291,6 +291,102 @@ class TestBranchBackend:
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.1, q=0.1)
         traj = branch_run(sc, [20.0], initial=BS.from_scenario(sc))
         assert isinstance(traj.states[0], BranchState)
+
+
+def _record_gap(recs_a, recs_b) -> float:
+    return max(
+        max(
+            abs(a.c_af1 - b.c_af1),
+            abs(a.c_af2 - b.c_af2),
+            abs(a.c_f1f2 - b.c_f1f2),
+            abs(a.purity - b.purity),
+        )
+        for a, b in zip(recs_a, recs_b)
+    )
+
+
+def _three_label_state(rng) -> BranchState:
+    """Three coherent labels per field: an equal mix of a superposition and a mixture.
+
+    The superposition c_k |s_k, a_k, b_k> carries dyads between different labels;
+    the mixture of products sigma_k (x) |a_k><a_k| (x) |b_k><b_k| with full-rank
+    atomic states keeps every pair state full rank, away from the square-root
+    sensitivity of the concurrence at rank-deficient states.
+    """
+    atoms = (0, 1, 0)
+    c = rng.normal(size=3) + 1j * rng.normal(size=3)
+    a = 0.6 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    b = 0.6 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    norm = sum(
+        np.conj(c[k]) * c[m] * coherent_overlap(a[k], a[m]) * coherent_overlap(b[k], b[m])
+        for k in range(3)
+        for m in range(3)
+        if atoms[k] == atoms[m]
+    ).real
+    terms: dict = {(s, sp): [] for s in (0, 1) for sp in (0, 1)}
+    for k in range(3):
+        for m in range(3):
+            w = 0.5 * c[k] * np.conj(c[m]) / norm
+            terms[(atoms[k], atoms[m])].append([w, a[k], a[m], b[k], b[m]])
+    for k in range(3):
+        sigma = random_density(rng, 2) / 6.0
+        for (s, sp), lst in terms.items():
+            lst.append([sigma[s, sp], a[k], a[k], b[k], b[k]])
+    return BranchState(terms)
+
+
+class TestBranchRecords:
+    """Branch records come from the label-basis compression, never from Fock space."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(alpha=1.0, beta=0.5, phi=1.1),
+            dict(alpha=0.5, beta=1.0, frame="lab"),
+            dict(alpha=1.0, beta=1.0, phi=4.0, frame="lab"),
+        ],
+    )
+    def test_matches_dense_records(self, rng, kw):
+        g, q = rng.uniform(0.0, 1.0, 2)
+        sc = margin_scenario(g=float(g), q=float(q), **kw)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, sc.total_time(), 6))])
+        branch = branch_run(sc, times).records()
+        dense = run_scenario(sc, times).records()
+        assert _record_gap(branch, dense) < 1e-9
+
+    def test_start_has_one_label_per_field(self):
+        sc = margin_scenario(alpha=1.0, beta=0.5, g=0.2, q=0.2, phi=0.7)
+        traj = branch_run(sc, [0.0])
+        small = branch_compress(traj.states[0])
+        assert small.layout.dims == (2, 2, 2)
+        rec = traj.records()[0]
+        assert rec.c_af1 == pytest.approx(0.0, abs=1e-12)
+        assert rec.purity == pytest.approx(1.0, abs=1e-12)
+
+    def test_three_label_initial_matches_dense(self, rng):
+        sc = margin_scenario(alpha=1.0, beta=1.0, g=0.3, q=0.6)
+        bs = _three_label_state(rng)
+        assert branch_compress(bs).layout.dims == (2, 3, 3)
+        times = np.linspace(0.0, sc.total_time(), 7)
+        branch = branch_run(sc, times, initial=bs).records()
+        dense = run_scenario(sc, times, initial=branch_densify(bs, sc)).records()
+        assert _record_gap(branch, dense) < 1e-9
+
+    def test_compressed_state_is_physical(self, rng):
+        traj = branch_run(margin_scenario(alpha=1.0, beta=0.5, g=0.5, q=0.5), [70.0])
+        small = branch_compress(traj.states[0])
+        small.validate(check_positivity=True)
+        big = branch_compress(_three_label_state(rng))
+        big.validate(check_positivity=True)
+
+    def test_records_ignore_fock_cutoffs(self):
+        # densifying at n = 1 raises TruncationTooSmall; the label basis needs no cutoff
+        sc = Scenario().variant(alpha=0.5, beta=0.5, g=0.05, q=0.05)
+        times = np.linspace(0.0, sc.total_time(), 13)
+        tiny = branch_run(sc.variant(n1=1, n2=1), times).records()
+        default = branch_run(sc, times).records()
+        assert _record_gap(tiny, default) < 1e-12
+        assert max(abs(a.discarded_weight - b.discarded_weight) for a, b in zip(tiny, default)) < 1e-12
 
 
 class TestFrames:
