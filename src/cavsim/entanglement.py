@@ -39,11 +39,12 @@ def wootters_concurrence(rho) -> float:
     """Concurrence of a two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of the
-    eigenvalues of rho (sy (x) sy) rho* (sy (x) sy); eigenvalues are clipped at
-    zero before the square root.  The l_i are evaluated as the singular values
-    of sqrt(rho) (sy (x) sy) sqrt(rho)*, which carries the same spectrum
-    without squaring it first, so near-zero l_i come out at machine precision
-    instead of sqrt(machine precision).
+    eigenvalues of rho (sy (x) sy) rho* (sy (x) sy), evaluated as the singular
+    values of sqrt(rho) (sy (x) sy) sqrt(rho)* with the eigenvalues of rho
+    clipped at zero.  On rank-deficient states C is good to about 1e-8, not to
+    machine precision: a zero eigenvalue of rho computed as +-1e-16 enters
+    sqrt(rho) as up to 1e-8 (two exact representations of one pure state have
+    given concurrences 5e-9 apart).
     """
     mat = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if mat.shape != (4, 4):

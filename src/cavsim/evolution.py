@@ -24,6 +24,10 @@ compressed onto the orthonormalized span of its coherent labels
 (:func:`branch_compress`), so the Fock cutoffs N1/N2 only affect
 :meth:`Trajectory.dense_state`.
 
+Both backends and the integrator in :mod:`cavsim.lindblad` walk the stages
+through one rotating-frame traversal (:func:`_traverse`) and supply only a
+per-stage advance and an atomic rotation; lab snapshots are dressed afterwards.
+
 Units: time in microseconds, angular frequencies in rad/us.  The conventional
 "kHz" experimental values map to 1e-3 rad/us.
 """
@@ -345,14 +349,16 @@ def dissipative_map(
     return DensityMatrix(rho.layout, data)
 
 
-def _free_phase_vector(scenario: Scenario, tau: float, d1: int, d2: int) -> np.ndarray:
-    """Lab-frame phases of the free Hamiltonian (zero-point offsets drop out)."""
-    atom = np.array(
-        [np.exp(-0.5j * scenario.omega_a * tau), np.exp(0.5j * scenario.omega_a * tau)]
-    )
-    f1 = _phase_powers(np.exp(-1j * scenario.omega_tilde(1) * tau), d1)
-    f2 = _phase_powers(np.exp(-1j * scenario.omega_tilde(2) * tau), d2)
-    return (atom[:, None, None] * f1[None, :, None] * f2[None, None, :]).reshape(-1)
+def _dress(rho: DensityMatrix, scenario: Scenario, t: float) -> DensityMatrix:
+    """Free-Hamiltonian phases at elapsed time t on a rotating-frame DensityMatrix."""
+    d1, d2 = rho.layout.dims[1], rho.layout.dims[2]
+    atom = np.array([np.exp(-0.5j * scenario.omega_a * t), np.exp(0.5j * scenario.omega_a * t)])
+    f1 = _phase_powers(np.exp(-1j * scenario.omega_tilde(1) * t), d1)
+    f2 = _phase_powers(np.exp(-1j * scenario.omega_tilde(2) * t), d2)
+    ph = (atom[:, None, None] * f1[None, :, None] * f2[None, None, :]).reshape(-1)
+    data = rho.data * ph[:, None]
+    data *= ph.conj()[None, :]
+    return DensityMatrix(rho.layout, data)
 
 
 def _dispersive_phase_vector(omega: float, tau: float, d1: int, d2: int, which: int) -> np.ndarray:
@@ -370,15 +376,27 @@ def _dispersive_phase_vector(omega: float, tau: float, d1: int, d2: int, which: 
     return ph.reshape(-1)
 
 
-def _conjugate_atom(data: np.ndarray, r2: np.ndarray, rest: int) -> np.ndarray:
-    t = data.reshape(2, rest, 2, rest)
-    return np.einsum("ab,bjck,dc->ajdk", r2, t, r2.conj()).reshape(2 * rest, 2 * rest)
+def _rotate_atom(rho: DensityMatrix, theta: float) -> DensityMatrix:
+    """Conjugate the atom of rho by the Ramsey rotation of pulse area theta."""
+    r2, rest = ramsey_unitary(theta), rho.layout.dims[1] * rho.layout.dims[2]
+    t = rho.data.reshape(2, rest, 2, rest)
+    data = np.einsum("ab,bjck,dc->ajdk", r2, t, r2.conj()).reshape(2 * rest, 2 * rest)
+    return DensityMatrix(rho.layout, data)
+
+
+def _ramsey_area(scenario: Scenario, tau: float) -> float:
+    """Pulse area accumulated after tau inside a Ramsey stage of nonzero duration."""
+    duration = scenario.stage_durations[2]
+    return scenario.ramsey_angle * (tau / duration) if duration > 0 else 0.0
 
 
 def stage_step(
     rho: DensityMatrix, stage: StageKind, tau: float, scenario: Scenario
 ) -> DensityMatrix:
-    """Advance rho by tau within one stage: dissipative map, then the stage unitary."""
+    """Advance rho by tau within one stage: dissipative map, then the stage unitary.
+
+    This is a rotating-frame map: ``scenario.frame`` is not read.
+    """
     out = dissipative_map(rho, stage, tau, scenario)
     d1, d2 = rho.layout.dims[1], rho.layout.dims[2]
     data = out.data
@@ -390,15 +408,10 @@ def stage_step(
         ph = _dispersive_phase_vector(scenario.omega_2, tau, d1, d2, which=2)
         data *= ph[:, None]
         data *= ph.conj()[None, :]
-    elif stage is StageKind.RAMSEY and tau > 0:
-        duration = scenario.stage_durations[2]
-        theta = scenario.ramsey_angle * (tau / duration) if duration > 0 else 0.0
+    elif stage is StageKind.RAMSEY:
+        theta = _ramsey_area(scenario, tau)
         if theta:
-            data = _conjugate_atom(data, ramsey_unitary(theta), d1 * d2)
-    if scenario.frame == "lab" and tau > 0:
-        ph = _free_phase_vector(scenario, tau, d1, d2)
-        data *= ph[:, None]
-        data *= ph.conj()[None, :]
+            return _rotate_atom(out, theta)
     return DensityMatrix(rho.layout, data)
 
 
@@ -447,9 +460,6 @@ class Trajectory:
             return branch_densify(st, self.scenario)
         return st
 
-    def dense_states(self) -> list[DensityMatrix]:
-        return [self.dense_state(i) for i in range(len(self.states))]
-
     def records(self) -> list[ConcurrenceRecord]:
         recs = []
         for st, t in zip(self.states, self.times):
@@ -469,19 +479,50 @@ class Trajectory:
         return recs
 
 
-def _sample_plan(scenario: Scenario, sample_times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stage_plan(scenario: Scenario) -> list:
+    """The five (StageKind, duration) pairs of a scenario, in traversal order."""
+    return list(zip(STAGE_ORDER, scenario.stage_durations))
+
+
+def _traverse(plan, sample_times, state, advance, rotate, ramsey_angle: float):
+    """Walk a stage plan and return (sample times, snapshots at those times).
+
+    ``plan`` is a sequence of (StageKind, duration) pairs.  The sample times
+    must be non-empty, sorted and inside the plan's span; a sample on a stage
+    boundary belongs to the earlier stage.  For each stage,
+    ``advance(state, stage, taus)`` receives the stage-start state and the
+    elapsed times of the stage's samples followed by the stage duration, and
+    returns one state per entry; the last one starts the next stage.  A
+    zero-duration Ramsey stage applies the full pulse area at once through
+    ``rotate(state, ramsey_angle)``.
+    """
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if times.size == 0:
         raise ValueError("sample grid is empty")
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be sorted")
-    bounds = scenario.stage_times()
+    bounds = np.concatenate([[0.0], np.cumsum([duration for _, duration in plan])])
     if times[0] < -1e-12 or times[-1] > bounds[-1] + 1e-9:
         raise ValueError("sample times outside the scenario time span")
     # each sample belongs to the earliest stage whose interval contains it
-    stage_of = np.searchsorted(bounds[1:], times, side="left")
-    stage_of = np.minimum(stage_of, 4)
-    return times, bounds, stage_of
+    stage_of = np.minimum(np.searchsorted(bounds[1:], times, side="left"), len(plan) - 1)
+    snapshots: list = []
+    for k, (stage, duration) in enumerate(plan):
+        taus = np.append(times[stage_of == k] - bounds[k], duration)
+        *samples, state = advance(state, stage, taus)
+        snapshots.extend(samples)
+        if duration == 0 and stage is StageKind.RAMSEY and ramsey_angle != 0.0:
+            state = rotate(state, ramsey_angle)
+    return times, snapshots
+
+
+def _from_stage_start(step, scenario: Scenario):
+    """Traversal advance of a closed-form backend: each tau is stepped from the stage start."""
+
+    def advance(state, stage, taus):
+        return [step(state, stage, float(tau), scenario) if tau > 0 else state for tau in taus]
+
+    return advance
 
 
 def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None = None) -> Trajectory:
@@ -496,35 +537,15 @@ def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None
     Ramsey zone, which no measured quantity here can resolve).
     """
     scenario.validate()
-    lab = scenario.frame == "lab"
-    rot = dataclasses.replace(scenario, frame="rotating") if lab else scenario
-    times, bounds, stage_of = _sample_plan(rot, sample_times)
-    state = initial if initial is not None else initial_density(rot)
+    state = initial if initial is not None else initial_density(scenario)
     if not isinstance(state, DensityMatrix):
         raise TypeError("initial must be a DensityMatrix")
-    states: list = [None] * times.size
-    pos = 0
-    for k, stage in enumerate(STAGE_ORDER):
-        dur = rot.stage_durations[k]
-        while pos < times.size and stage_of[pos] == k:
-            tau = float(times[pos] - bounds[k])
-            states[pos] = stage_step(state, stage, tau, rot) if tau > 0 else state
-            pos += 1
-        if dur > 0:
-            state = stage_step(state, stage, float(dur), rot)
-        elif stage is StageKind.RAMSEY and rot.ramsey_angle != 0.0:
-            d1, d2 = state.layout.dims[1], state.layout.dims[2]
-            data = _conjugate_atom(state.data, ramsey_unitary(rot.ramsey_angle), d1 * d2)
-            state = DensityMatrix(state.layout, data)
-    if lab:
-        d1, d2 = states[0].layout.dims[1], states[0].layout.dims[2]
-        for i, t in enumerate(times):
-            if t == 0:
-                continue
-            ph = _free_phase_vector(scenario, float(t), d1, d2)
-            data = states[i].data * ph[:, None]
-            data *= ph.conj()[None, :]
-            states[i] = DensityMatrix(states[i].layout, data)
+    advance = _from_stage_start(stage_step, scenario)
+    times, states = _traverse(
+        _stage_plan(scenario), sample_times, state, advance, _rotate_atom, scenario.ramsey_angle
+    )
+    if scenario.frame == "lab":
+        states = [_dress(st, scenario, float(t)) if t != 0 else st for st, t in zip(states, times)]
     return Trajectory(scenario, times, states)
 
 
@@ -574,19 +595,21 @@ def _branch_ramsey_mix(terms: dict, theta: float) -> dict:
     return mixed
 
 
+def _branch_rotate(bs: BranchState, theta: float) -> BranchState:
+    return BranchState(_branch_ramsey_mix(bs.terms, theta))
+
+
 def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenario) -> BranchState:
-    """Advance a BranchState by tau within one stage (exact label/weight algebra)."""
+    """Advance a BranchState by tau within one stage (exact label/weight algebra).
+
+    This is a rotating-frame map: ``scenario.frame`` is not read.
+    """
     sc = scenario
     w1k, w2k = sc.omega_active(stage)
     dec1, dec2 = math.exp(-sc.gamma_1 * tau), math.exp(-sc.gamma_2 * tau)
     shrink1, shrink2 = 0.5 * (dec1 * dec1 - 1.0), 0.5 * (dec2 * dec2 - 1.0)
     p1 = np.exp(-1j * w1k * tau)
     p2 = np.exp(-1j * w2k * tau)
-    lab = sc.frame == "lab"
-    if lab:
-        q1 = np.exp(-1j * sc.omega_tilde(1) * tau)
-        q2 = np.exp(-1j * sc.omega_tilde(2) * tau)
-        atom_lab = (np.exp(-0.5j * sc.omega_a * tau), np.exp(0.5j * sc.omega_a * tau))
     new_terms = {}
     for (s, sp), lst in bs.terms.items():
         lam = 2 * (sp - s)
@@ -620,15 +643,10 @@ def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenari
                     w, v2 = w * np.conj(p2), v2 * p2
                 else:
                     v2 = v2 * np.conj(p2)
-            if lab:
-                w = w * atom_lab[s] * np.conj(atom_lab[sp])
-                u1, v1 = u1 * q1, v1 * q1
-                u2, v2 = u2 * q2, v2 * q2
             out.append([w, u1, v1, u2, v2])
         new_terms[(s, sp)] = out
-    if stage is StageKind.RAMSEY and tau > 0:
-        duration = sc.stage_durations[2]
-        theta = sc.ramsey_angle * (tau / duration) if duration > 0 else 0.0
+    if stage is StageKind.RAMSEY:
+        theta = _ramsey_area(sc, tau)
         if theta:
             new_terms = _branch_ramsey_mix(new_terms, theta)
     return BranchState(new_terms)
@@ -724,23 +742,12 @@ def branch_run(scenario: Scenario, sample_times, initial: BranchState | None = N
             "the branch backend evolves atomic superposition (x) coherent (x) coherent "
             "states only; pass a BranchState or use the dense backend"
         )
-    lab = scenario.frame == "lab"
-    rot = dataclasses.replace(scenario, frame="rotating") if lab else scenario
-    times, bounds, stage_of = _sample_plan(rot, sample_times)
-    state = initial if initial is not None else BranchState.from_scenario(rot)
-    states: list = [None] * times.size
-    pos = 0
-    for k, stage in enumerate(STAGE_ORDER):
-        dur = rot.stage_durations[k]
-        while pos < times.size and stage_of[pos] == k:
-            tau = float(times[pos] - bounds[k])
-            states[pos] = branch_step(state, stage, tau, rot) if tau > 0 else state
-            pos += 1
-        if dur > 0:
-            state = branch_step(state, stage, float(dur), rot)
-        elif stage is StageKind.RAMSEY and rot.ramsey_angle != 0.0:
-            state = BranchState(_branch_ramsey_mix(state.terms, rot.ramsey_angle))
-    if lab:
+    state = initial if initial is not None else BranchState.from_scenario(scenario)
+    advance = _from_stage_start(branch_step, scenario)
+    times, states = _traverse(
+        _stage_plan(scenario), sample_times, state, advance, _branch_rotate, scenario.ramsey_angle
+    )
+    if scenario.frame == "lab":
         states = [
             _branch_dress(st, scenario, float(t)) if t > 0 else st
             for st, t in zip(states, times)

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (
-    STAGE_ORDER,
     DensityMatrix,
     Scenario,
     StageKind,
     Trajectory,
-    _conjugate_atom,
+    _rotate_atom,
+    _stage_plan,
+    _traverse,
     initial_density,
-    ramsey_unitary,
 )
 from .exceptions import StepUnderflow
 from .hilbert import HERMITICITY_TOL
@@ -170,42 +170,28 @@ def integrate(
     scenario: Scenario,
     config: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
-    """Integrate through a stage plan, sampling at the grid times.
+    """Integrate through a stage plan of (StageKind, duration) pairs, sampling at the grid.
 
-    ``plan`` is a sequence of (StageKind, duration) pairs; the grid must be
-    sorted and lie within the plan's total span.  A zero-duration Ramsey entry
-    applies the instantaneous full-area rotation.
+    The grid must be non-empty, sorted and inside the plan's span.  A sample on
+    a stage boundary belongs to the earlier stage, and a zero-duration Ramsey
+    entry applies the instantaneous full-area rotation.
     """
-    times = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(np.diff(times) < 0):
-        raise ValueError("grid must be sorted")
-    total = float(sum(d for _, d in plan))
-    if times.size and (times[0] < -1e-12 or times[-1] > total + 1e-9):
-        raise ValueError("grid outside the plan time span")
-    dims = rho0.layout.dims
-    rho = rho0.data.copy()
-    states: list = [None] * times.size
-    pos = 0
-    t_start = 0.0
-    for stage, duration in plan:
-        gen = _StageGenerator(scenario, stage, dims)
-        t_end = t_start + duration
-        local = 0.0
-        while pos < times.size and times[pos] <= t_end + 1e-12:
-            target = min(max(times[pos] - t_start, 0.0), duration)
+
+    def advance(rho, stage, taus):
+        # integrate forward from the latest sample; taus ends with the stage duration
+        gen = _StageGenerator(scenario, stage, rho.layout.dims)
+        duration, local, out = taus[-1], 0.0, []
+        for tau in taus:
+            target = min(max(tau, 0.0), duration)
             if target > local:
-                rho, _, _ = _advance(gen, rho, target - local, config)
-                local = target
-            states[pos] = DensityMatrix(rho0.layout, rho.copy())
-            pos += 1
-        if duration > local:
-            rho, _, _ = _advance(gen, rho, duration - local, config)
-        if duration == 0 and stage is StageKind.RAMSEY and scenario.ramsey_angle != 0.0:
-            rho = _conjugate_atom(rho, ramsey_unitary(scenario.ramsey_angle), dims[1] * dims[2])
-        t_start = t_end
+                data, _, _ = _advance(gen, rho.data, target - local, config)
+                rho, local = DensityMatrix(rho.layout, data), target
+            out.append(rho)
+        return out
+
+    times, states = _traverse(plan, grid, rho0, advance, _rotate_atom, scenario.ramsey_angle)
     for st in states:
-        if st is not None:
-            st.validate()
+        st.validate()
     return Trajectory(scenario, times, states)
 
 
@@ -217,10 +203,5 @@ def run_oracle(
     Snapshots are always rotating-frame states, whatever the scenario frame;
     frames are compared on concurrences, which the free phases cannot move.
     """
-    scenario.validate()
-    if scenario.frame != "rotating":
-        import dataclasses
-
-        scenario = dataclasses.replace(scenario, frame="rotating")
-    plan = list(zip(STAGE_ORDER, scenario.stage_durations))
-    return integrate(initial_density(scenario), plan, sample_times, scenario, config)
+    scenario = scenario.validate().variant(frame="rotating")
+    return integrate(initial_density(scenario), _stage_plan(scenario), sample_times, scenario, config)

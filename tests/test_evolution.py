@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavsim import (
     BranchState,
@@ -387,6 +389,28 @@ class TestBranchRecords:
         default = branch_run(sc, times).records()
         assert _record_gap(tiny, default) < 1e-12
         assert max(abs(a.discarded_weight - b.discarded_weight) for a, b in zip(tiny, default)) < 1e-12
+
+
+class TestTraversal:
+    """The shared stage traversal gives the same records on both closed-form backends."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        durations=st.tuples(*[st.just(0.0) | st.floats(0.5, 40.0)] * 5),
+        g=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        frame=st.sampled_from(["rotating", "lab"]),
+    )
+    def test_branch_matches_dense_on_boundary_grids(self, durations, g, q, phi, frame):
+        sc = margin_scenario(alpha=0.5, beta=0.5, g=g, q=q, extra=0, phi=phi, frame=frame)
+        sc = sc.variant(stage_durations=durations)
+        bounds = sc.stage_times()
+        # t = 0, every stage boundary (repeated at zero-duration stages), the end, midpoints
+        times = np.sort(np.concatenate([bounds, 0.5 * (bounds[1:] + bounds[:-1])]))
+        branch = branch_run(sc, times).records()
+        dense = run_scenario(sc, times).records()
+        assert _record_gap(branch, dense) < 1e-9
 
 
 class TestFrames:

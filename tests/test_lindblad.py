@@ -16,7 +16,7 @@ from cavsim import (
     run_scenario,
     trace_distance,
 )
-from cavsim.evolution import initial_density
+from cavsim.evolution import STAGE_ORDER, initial_density
 from cavsim.hilbert import DensityMatrix, coherent_vector, standard_layout
 
 from conftest import margin_scenario, stage1_scenario
@@ -142,6 +142,8 @@ class TestIntegrate:
         rho0 = initial_density(sc)
         with pytest.raises(ValueError):
             integrate(rho0, [(StageKind.FREE1, 5.0)], [6.0], sc)
+        with pytest.raises(ValueError):
+            integrate(rho0, [(StageKind.FREE1, 5.0)], [], sc)
 
 
 class TestOracleVsDense:
@@ -152,6 +154,19 @@ class TestOracleVsDense:
         oracle = run_oracle(sc, times, IntegratorConfig(abs_tol=1e-10))
         for i in range(len(times)):
             assert trace_distance(dense.states[i], oracle.states[i]) < 1e-6
+
+    def test_instant_ramsey_and_boundary_samples(self):
+        # zero-duration Ramsey entry, and a sample on every stage boundary
+        sc = Scenario().variant(
+            alpha=0.5, beta=0.5, g=0.3, q=0.2, phi=0.9, n1=8, n2=8,
+            stage_durations=(8.0, 3.0, 0.0, 3.0, 8.0),
+        )
+        times = np.sort(np.concatenate([sc.stage_times(), [2.5, 9.5, 17.0]]))
+        plan = list(zip(STAGE_ORDER, sc.stage_durations))
+        oracle = integrate(initial_density(sc), plan, times, sc, IntegratorConfig(abs_tol=1e-10))
+        dense = run_scenario(sc, times)
+        for a, b in zip(oracle.states, dense.states):
+            assert trace_distance(a, b) < 1e-6
 
     def test_oracle_always_rotating(self):
         cfg = IntegratorConfig(abs_tol=1e-9)
