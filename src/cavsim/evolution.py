@@ -269,11 +269,12 @@ def _field_kernels(gamma: float, omega_k: float, lam: int, tau: float, d: int):
     """
     f = _f_coefficient(gamma, omega_k * lam, tau)
     damp = np.exp(-gamma * tau * np.arange(d)) if gamma > 0 and tau > 0 else np.ones(d)
-    # sb[k][n] = sqrt(C(n+k, k)) for n = 0 .. d-1-k
-    sb = [np.ones(d)]
+    # sb[k, n] = sqrt(C(n+k, k)) for n = 0 .. d-1-k
+    sb = np.zeros((d, d))
+    sb[0] = 1.0
     for k in range(1, d):
         ns = np.arange(d - k)
-        sb.append(sb[k - 1][: d - k] * np.sqrt((ns + k) / k))
+        sb[k, : d - k] = sb[k - 1, : d - k] * np.sqrt((ns + k) / k)
     fpow = np.empty(d, dtype=complex)
     fpow[0] = 1.0
     fpow[1:] = f
@@ -281,45 +282,30 @@ def _field_kernels(gamma: float, omega_k: float, lam: int, tau: float, d: int):
     kernels = []
     for o in range(d):
         length = d - o
+        js, cols = np.triu_indices(length)
+        ks = cols - js
         kern = np.zeros((length, length), dtype=complex)
-        for k in range(length):
-            js = np.arange(length - k)
-            kern[js, js + k] = fpow[k] * sb[k][js + o] * sb[k][js]
+        kern[js, cols] = fpow[ks] * sb[ks, js + o] * sb[ks, js]
         kern *= (damp[o:] * damp[:length])[:, None]
         kernels.append(kern)
     return kernels
 
 
-def _apply_field_kernels(block: np.ndarray, kernels, axis_pair) -> np.ndarray:
-    """Apply one field's per-offset kernels along the given (row, col) axes."""
-    a, b = axis_pair
-    d = block.shape[a]
-    out = np.empty_like(block)
-    rest = [i for i in range(4) if i not in (a, b)]
-    rest_shape = (block.shape[rest[0]], block.shape[rest[1]])
-    flat = rest_shape[0] * rest_shape[1]
+def _apply_field_kernels(block: np.ndarray, kernels) -> np.ndarray:
+    """Apply one field's per-offset kernels to a block laid out as (n, m, rest).
 
-    def diag_view(arr, o, on_row_axis):
-        # generalized diagonal (n, m) = (j+o, j) (row offset) or (j, j+o)
-        sl = [slice(None)] * 4
-        sl[a if on_row_axis else b] = slice(o, None)
-        base = arr[tuple(sl)]
-        strides = (
-            arr.strides[a] + arr.strides[b],
-            arr.strides[rest[0]],
-            arr.strides[rest[1]],
-        )
-        return np.lib.stride_tricks.as_strided(
-            base, shape=(d - o,) + rest_shape, strides=strides
-        )
-
+    Flattened to (n m, rest), the offset-o diagonal (n, m) = (j+o, j) is the row
+    slice o d :: d+1 and (j, j+o) is o :: d+1, so each kernel multiplies a
+    strided row view with contiguous rest entries.
+    """
+    d = block.shape[0]
+    src = block.reshape(d * d, -1)
+    out = np.empty_like(src)
     for o in range(d):
-        kern = kernels[o]
-        for on_row in (True, False) if o else (True,):
-            src = diag_view(block, o, on_row).reshape(d - o, flat)
-            res = kern @ src.astype(complex, copy=False)
-            diag_view(out, o, on_row)[...] = res.reshape((d - o,) + rest_shape)
-    return out
+        for start in (o * d, o) if o else (0,):
+            rows = slice(start, start + (d - o - 1) * (d + 1) + 1, d + 1)
+            out[rows] = kernels[o] @ src[rows]
+    return out.reshape(block.shape)
 
 
 def dissipative_map(
@@ -332,12 +318,21 @@ def dissipative_map(
     w1k, w2k = scenario.omega_active(stage)
     r = rho.data.reshape(2, d1, d2, 2, d1, d2)
     out = np.empty_like(r)
+    kernels: dict = {}
     for s, sp in ((EXCITED, EXCITED), (GROUND, GROUND), (EXCITED, GROUND)):
         lam = 2 * (sp - s)
-        b = np.ascontiguousarray(r[s, :, :, sp, :, :])
-        b = _apply_field_kernels(b, _field_kernels(scenario.gamma_1, w1k, lam, tau, d1), (0, 2))
-        b = _apply_field_kernels(b, _field_kernels(scenario.gamma_2, w2k, lam, tau, d2), (1, 3))
-        out[s, :, :, sp, :, :] = b
+        if lam not in kernels:
+            kernels[lam] = (
+                _field_kernels(scenario.gamma_1, w1k, lam, tau, d1),
+                _field_kernels(scenario.gamma_2, w2k, lam, tau, d2),
+            )
+        k1, k2 = kernels[lam]
+        # field 1 acts on (n1, m1) with rest (n2, m2), then field 2 on (n2, m2)
+        b = r[s, :, :, sp, :, :].transpose(0, 2, 1, 3).reshape(d1, d1, d2 * d2)
+        b = _apply_field_kernels(b, k1).reshape(d1, d1, d2, d2)
+        b = np.ascontiguousarray(b.transpose(2, 3, 0, 1)).reshape(d2, d2, d1 * d1)
+        b = _apply_field_kernels(b, k2)
+        out[s, :, :, sp, :, :] = b.reshape(d2, d2, d1, d1).transpose(2, 0, 3, 1)
     # the (g, e) block is fixed by Hermiticity of the input; together with the
     # real diagonal-dyad kernels this preserves Hermiticity by construction
     eg = out[EXCITED, :, :, GROUND, :, :]
@@ -667,10 +662,13 @@ def branch_densify(bs: BranchState, scenario: Scenario) -> DensityMatrix:
     rest = (n1 + 1) * (n2 + 1)
     out = np.zeros((2, rest, 2, rest), dtype=complex)
     for (s, sp), lst in bs.terms.items():
-        for w, u1, v1, u2, v2 in lst:
-            fu = np.kron(vec(u1, n1, 1), vec(u2, n2, 2))
-            fv = np.kron(vec(v1, n1, 1), vec(v2, n2, 2))
-            out[s, :, sp, :] += w * np.outer(fu, fv.conj())
+        if not lst:
+            continue
+        # one product (F_u diag(w)) F_v^dag over the dyads of the block
+        w, u1, v1, u2, v2 = (list(col) for col in zip(*lst))
+        fu = np.stack([np.kron(vec(a, n1, 1), vec(b, n2, 2)) for a, b in zip(u1, u2)], axis=1)
+        fv = np.stack([np.kron(vec(a, n1, 1), vec(b, n2, 2)) for a, b in zip(v1, v2)], axis=1)
+        out[s, :, sp, :] = (fu * np.array(w)) @ fv.conj().T
     return DensityMatrix(layout, out.reshape(layout.dim, layout.dim))
 
 

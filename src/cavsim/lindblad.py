@@ -29,6 +29,7 @@ from .hilbert import HERMITICITY_TOL
 
 MIN_STEP = 1e-9
 DRIFT_LIMIT = 1e-8
+APPLY_BLOCK = 1 << 15  # complex entries per block of generator rows
 
 
 @dataclass(frozen=True)
@@ -75,39 +76,58 @@ class _StageGenerator:
             self.ramsey_rate = scenario.ramsey_angle / duration if duration > 0 else 0.0
         else:
             self.ramsey_rate = 0.0
+        # -i h on the row index and +i h on the column index of rho
+        if self.hdiag is not None:
+            self.h_row = (-1j * self.hdiag).reshape(2, d1, d2, 1, 1, 1)
+            self.h_col = (+1j * self.hdiag).reshape(2, d1, d2)
+        # jump factors sqrt(n m) on the shifted Fock indices
+        self.sqsq1 = np.einsum("i,j->ij", self.sq1, self.sq1)[:, None, None, :, None]
+        self.sqsq2 = np.einsum("i,j->ij", self.sq2, self.sq2)[:, None, None, :]
+        # rows of n1 per block: a block and its scratch stay cache-sized
+        self.rows = min(d1, max(1, APPLY_BLOCK // (2 * d1 * d2 * d2)))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         d1, d2 = self.d1, self.d2
         t = rho.reshape(2, d1, d2, 2, d1, d2)
         out = np.zeros_like(t)
+        buf = np.empty((self.rows, d2, 2, d1, d2), dtype=complex)
+        for s in range(2):
+            for a in range(0, d1, self.rows):
+                b = min(a + self.rows, d1)
+                self._apply_rows(t, out, s, a, b, buf[: b - a])
+        return out.reshape(rho.shape)
+
+    def _apply_rows(self, t, out, s, a, b, buf) -> None:
+        """The generator on the output rows (s, n1 in [a, b)), term by term.
+
+        Each term is formed in buf before it is added, in the same order for
+        every entry as a whole-array evaluation, so the roundings are the same.
+        """
+        o, x = out[s, a:b], t[s, a:b]
         # -i [H, rho]
         if self.hdiag is not None:
-            flat = out.reshape(rho.shape)
-            flat += -1j * self.hdiag[:, None] * rho
-            flat += +1j * self.hdiag[None, :] * rho
+            o += np.multiply(self.h_row[s, a:b], x, out=buf)
+            o += np.multiply(self.h_col, x, out=buf)
         if self.ramsey_rate:
             r = self.ramsey_rate
             # H = r sigma_x: swap the atomic index on either side
-            out[0] += -1j * r * t[1]
-            out[1] += -1j * r * t[0]
-            out[:, :, :, 0] += +1j * r * t[:, :, :, 1]
-            out[:, :, :, 1] += +1j * r * t[:, :, :, 0]
+            o += np.multiply(-1j * r, t[1 - s, a:b], out=buf)
+            o[:, :, 0] += np.multiply(+1j * r, x[:, :, 1], out=buf[:, :, 0])
+            o[:, :, 1] += np.multiply(+1j * r, x[:, :, 0], out=buf[:, :, 0])
         # 2 gamma a rho a^dag for both fields
-        if self.gamma_1 > 0:
-            jump = t[:, 1:, :, :, 1:, :] * np.einsum("i,j->ij", self.sq1, self.sq1)[
-                None, :, None, None, :, None
-            ]
-            out[:, :-1, :, :, :-1, :] += 2.0 * self.gamma_1 * jump
+        top = min(b, self.d1 - 1)
+        if self.gamma_1 > 0 and top > a:
+            jump = np.multiply(
+                t[s, a + 1 : top + 1, :, :, 1:, :], self.sqsq1[a:top], out=buf[: top - a, :, :, 1:, :]
+            )
+            out[s, a:top, :, :, :-1, :] += np.multiply(2.0 * self.gamma_1, jump, out=jump)
         if self.gamma_2 > 0:
-            jump = t[:, :, 1:, :, :, 1:] * np.einsum("i,j->ij", self.sq2, self.sq2)[
-                None, None, :, None, None, :
-            ]
-            out[:, :, :-1, :, :, :-1] += 2.0 * self.gamma_2 * jump
+            jump = np.multiply(x[:, 1:, :, :, 1:], self.sqsq2, out=buf[:, 1:, :, :, 1:])
+            o[:, :-1, :, :, :-1] += np.multiply(2.0 * self.gamma_2, jump, out=jump)
         # -gamma (n rho + rho n)
         if self.gamma_1 > 0 or self.gamma_2 > 0:
-            out -= self.loss_diag[:, :, :, None, None, None] * t
-            out -= self.loss_diag[None, None, None, :, :, :] * t
-        return out.reshape(rho.shape)
+            o -= np.multiply(self.loss_diag[s, a:b, :, None, None, None], x, out=buf)
+            o -= np.multiply(self.loss_diag, x, out=buf)
 
 
 def liouvillian_apply(rho: DensityMatrix, stage: StageKind, scenario: Scenario) -> np.ndarray:
@@ -116,8 +136,12 @@ def liouvillian_apply(rho: DensityMatrix, stage: StageKind, scenario: Scenario) 
     return gen.apply(rho.data)
 
 
-def _rk4(gen: _StageGenerator, rho: np.ndarray, h: float) -> np.ndarray:
-    k1 = gen.apply(rho)
+def _rk4(
+    gen: _StageGenerator, rho: np.ndarray, h: float, k1: np.ndarray | None = None
+) -> np.ndarray:
+    """One classic RK4 step; ``k1`` may pass in the already known ``gen.apply(rho)``."""
+    if k1 is None:
+        k1 = gen.apply(rho)
     k2 = gen.apply(rho + (0.5 * h) * k1)
     k3 = gen.apply(rho + (0.5 * h) * k2)
     k4 = gen.apply(rho + h * k3)
@@ -132,8 +156,11 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, span: float, config: Integra
     steps = 0
     while t < span - 1e-12 * max(1.0, span):
         h = min(h, config.max_step, span - t)
-        big = _rk4(gen, rho, h)
-        half = _rk4(gen, _rk4(gen, rho, 0.5 * h), 0.5 * h)
+        k1 = gen.apply(rho)  # shared by the full and the first half step
+        big = _rk4(gen, rho, h, k1)
+        first = _rk4(gen, rho, 0.5 * h, k1)
+        del k1
+        half = _rk4(gen, first, 0.5 * h)
         err = float(np.max(np.abs(big - half)))
         if err > config.abs_tol:
             h *= 0.5

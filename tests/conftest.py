@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from cavsim import Scenario, default_truncation
+# One BLAS thread, set before numpy loads OpenBLAS (as bench/ does): on a busy
+# machine the default thread pool competes with other processes and made the
+# dense certification grid about 1.7x slower.  Results agree to rounding.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from cavsim import Scenario, default_truncation  # noqa: E402
 
 
 def margin_scenario(alpha=1.0, beta=0.5, g=0.0, q=0.0, extra=10, **kw) -> Scenario:
