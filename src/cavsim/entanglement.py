@@ -5,6 +5,14 @@ so a pair (atom-field or field-field) reduces to an effective two-qubit state
 by projecting every oversized subsystem onto the top-2 eigenvectors of its
 single-party reduction.  Any probability weight lost in that projection is
 reported; it is pure numerics whenever the rank-2 structure is exact.
+
+Extraction runs on stacks: :func:`pairwise_concurrence_stack` takes a
+``(S, D, D)`` stack of states of one layout and does every pair trace,
+projection and Wootters solve as one batched numpy call over the stack.
+Trajectory records feed it one stack per group of branch snapshots, and each
+dense snapshot as a stack-of-one view, so dense snapshots are never copied.
+The single-state functions below are stack-of-one calls into the same core,
+and a stack entry gives exactly the result of the single-state call.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix, partial_trace
+from .hilbert import DensityMatrix, partial_trace, partial_trace_stack
 
 log = logging.getLogger(__name__)
 
@@ -23,6 +31,8 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 
 SUPPORT_TOL = 1e-10
 FLAG_WEIGHT = 1e-3
+
+_PAIRS = (("AF1", (0, 1)), ("AF2", (0, 2)), ("F1F2", (1, 2)))
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,90 @@ class EffectiveQubitReduction:
     support_bases: tuple
     discarded_weight: float
     support_deficient: bool
+
+
+def _positive_part(x: np.ndarray) -> np.ndarray:
+    # max(0.0, x) elementwise, NaN mapping to 0.0 as Python's max does
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron over the last two axes, broadcasting any leading stack axis."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _wootters_stack(mats: np.ndarray) -> np.ndarray:
+    """Concurrences of a (S, 4, 4) stack of two-qubit density matrices."""
+    evals, evecs = np.linalg.eigh(mats)
+    roots = np.sqrt(np.clip(evals, 0.0, None))
+    sqrt_rho = (evecs * roots[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
+    return _positive_part(lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
+
+
+def _effective_two_qubit_stack(pairs: np.ndarray, dims: tuple[int, int], tol: float):
+    """Stacked :func:`effective_two_qubit` of (S, da db, da db) pair states of layout ``dims``.
+
+    Returns the (S, 4, 4) projected states, the per-subsystem isometries
+    ((S, d, 2) stacks, None for a qubit), and the (S,) discarded weights and
+    support-deficiency flags.
+    """
+    isometries = []
+    deficient = np.zeros(len(pairs), dtype=bool)
+    for i, d in enumerate(dims):
+        if d == 2:
+            isometries.append(None)
+            continue
+        evals, evecs = np.linalg.eigh(partial_trace_stack(pairs, dims, (i,)))
+        deficient |= evals[:, -2] < tol
+        isometries.append(evecs[:, :, [-1, -2]])
+    va, vb = (np.eye(2) if iso is None else iso for iso in isometries)
+    v = _kron(va, vb)
+    small = np.swapaxes(v.conj(), -1, -2) @ pairs @ v
+    kept = np.trace(small, axis1=1, axis2=2).real
+    discarded = _positive_part(1.0 - kept)
+    # nothing left on the product support: report a maximally mixed stub
+    stub = kept <= tol
+    small = small / np.where(stub, 1.0, kept)[:, None, None]
+    small[stub] = np.eye(4) / 4.0
+    deficient |= stub
+    for weight in discarded[~stub & (SUPPORT_TOL < discarded) & (discarded < FLAG_WEIGHT)]:
+        log.warning("effective_two_qubit discarded weight %.3e", weight)
+    return small, isometries, discarded, deficient
+
+
+@dataclass(frozen=True)
+class PairwiseConcurrences:
+    c_af1: float
+    c_af2: float
+    c_f1f2: float
+    discarded_weight: float
+    flags: tuple[str, ...]
+
+
+def pairwise_concurrence_stack(
+    data: np.ndarray, dims: tuple[int, ...]
+) -> list[PairwiseConcurrences]:
+    """Pairwise concurrences of every state in a (S, D, D) stack of layout ``dims``."""
+    if len(dims) != 3:
+        raise ValueError("pairwise_concurrences expects the full three-subsystem state")
+    values = []
+    worst = np.zeros(len(data))
+    flags: list[list[str]] = [[] for _ in range(len(data))]
+    for name, keep in _PAIRS:
+        pair_dims = (dims[keep[0]], dims[keep[1]])
+        small, _, discarded, _ = _effective_two_qubit_stack(
+            partial_trace_stack(data, dims, keep), pair_dims, SUPPORT_TOL
+        )
+        values.append(_wootters_stack(small).tolist())
+        worst = np.where(discarded > worst, discarded, worst)
+        for i in np.flatnonzero(discarded >= FLAG_WEIGHT):
+            flags[i].append(f"support_loss:{name}")
+    return [
+        PairwiseConcurrences(c1, c2, c3, w, tuple(f))
+        for c1, c2, c3, w, f in zip(*values, worst.tolist(), flags)
+    ]
 
 
 def wootters_concurrence(rho) -> float:
@@ -49,10 +143,7 @@ def wootters_concurrence(rho) -> float:
     mat = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
     if mat.shape != (4, 4):
         raise ValueError("wootters_concurrence expects a 4x4 density matrix")
-    evals, evecs = np.linalg.eigh(mat)
-    sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
-    return max(0.0, float(lams[0] - lams[1] - lams[2] - lams[3]))
+    return float(_wootters_stack(mat[None])[0])
 
 
 def effective_two_qubit(rho_pair: DensityMatrix, tol: float = SUPPORT_TOL) -> EffectiveQubitReduction:
@@ -67,56 +158,16 @@ def effective_two_qubit(rho_pair: DensityMatrix, tol: float = SUPPORT_TOL) -> Ef
     dims = rho_pair.layout.dims
     if len(dims) != 2:
         raise ValueError("effective_two_qubit expects a two-subsystem state")
-    isometries = []
-    deficient = False
-    for i, d in enumerate(dims):
-        if d == 2:
-            isometries.append(None)
-            continue
-        reduced = partial_trace(rho_pair, (i,)).data
-        evals, evecs = np.linalg.eigh(reduced)
-        if evals[-2] < tol:
-            deficient = True
-        isometries.append(evecs[:, [-1, -2]])
-    va = isometries[0] if isometries[0] is not None else np.eye(2)
-    vb = isometries[1] if isometries[1] is not None else np.eye(2)
-    v = np.kron(va, vb)
-    small = v.conj().T @ rho_pair.data @ v
-    kept = float(np.trace(small).real)
-    discarded = max(0.0, 1.0 - kept)
-    if kept <= tol:
-        # nothing left on the product support; report a maximally mixed stub
-        return EffectiveQubitReduction(np.eye(4) / 4.0, tuple(isometries), discarded, True)
-    small = small / kept
-    if SUPPORT_TOL < discarded < FLAG_WEIGHT:
-        log.warning("effective_two_qubit discarded weight %.3e", discarded)
-    return EffectiveQubitReduction(small, tuple(isometries), discarded, deficient)
-
-
-@dataclass(frozen=True)
-class PairwiseConcurrences:
-    c_af1: float
-    c_af2: float
-    c_f1f2: float
-    discarded_weight: float
-    flags: tuple[str, ...]
+    small, isometries, discarded, deficient = _effective_two_qubit_stack(
+        rho_pair.data[None], dims, tol
+    )
+    bases = tuple(None if iso is None else iso[0] for iso in isometries)
+    return EffectiveQubitReduction(small[0], bases, float(discarded[0]), bool(deficient[0]))
 
 
 def pairwise_concurrences(rho: DensityMatrix) -> PairwiseConcurrences:
     """Concurrences of (atom, field1), (atom, field2) and (field1, field2)."""
-    if len(rho.layout.dims) != 3:
-        raise ValueError("pairwise_concurrences expects the full three-subsystem state")
-    values = []
-    worst = 0.0
-    flags = []
-    for name, keep in (("AF1", (0, 1)), ("AF2", (0, 2)), ("F1F2", (1, 2))):
-        pair = partial_trace(rho, keep)
-        red = effective_two_qubit(pair)
-        values.append(wootters_concurrence(red.two_qubit_state))
-        worst = max(worst, red.discarded_weight)
-        if red.discarded_weight >= FLAG_WEIGHT:
-            flags.append(f"support_loss:{name}")
-    return PairwiseConcurrences(values[0], values[1], values[2], worst, tuple(flags))
+    return pairwise_concurrence_stack(rho.data[None], rho.layout.dims)[0]
 
 
 def monogamy_residual(rho: DensityMatrix, purity_tol: float = 1e-6) -> float | None:

@@ -35,6 +35,7 @@ Units: time in microseconds, angular frequencies in rad/us.  The conventional
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -456,21 +457,32 @@ class Trajectory:
         return st
 
     def records(self) -> list[ConcurrenceRecord]:
-        recs = []
-        for st, t in zip(self.states, self.times):
-            dm = branch_compress(st) if isinstance(st, BranchState) else st
-            pc = entanglement.pairwise_concurrences(dm)
-            recs.append(
-                ConcurrenceRecord(
-                    t_us=float(t),
+        """Concurrence record of every snapshot, extracted per trajectory on stacks.
+
+        Branch snapshots are compressed in groups of one term structure, each
+        group one ``(S, D, D)`` stack (see :func:`branch_compress`); dense
+        snapshots enter the extraction as stack-of-one views and are never
+        stacked or copied.  Each group's stack is released before the next.
+        """
+        recs: list = [None] * len(self.states)
+        dense = [i for i, st in enumerate(self.states) if not isinstance(st, BranchState)]
+        branch = [i for i, st in enumerate(self.states) if isinstance(st, BranchState)]
+        stacks = itertools.chain(
+            ((self.states[i].layout, self.states[i].data[None], [i]) for i in dense),
+            _compressed_groups(self.states, branch),
+        )
+        for layout, stack, indices in stacks:
+            pcs = entanglement.pairwise_concurrence_stack(stack, layout.dims)
+            for i, pc, data in zip(indices, pcs, stack):
+                recs[i] = ConcurrenceRecord(
+                    t_us=float(self.times[i]),
                     c_af1=pc.c_af1,
                     c_af2=pc.c_af2,
                     c_f1f2=pc.c_f1f2,
                     discarded_weight=pc.discarded_weight,
-                    purity=dm.purity(),
+                    purity=DensityMatrix(layout, data).purity(),
                     flags=";".join(pc.flags),
                 )
-            )
         return recs
 
 
@@ -540,7 +552,7 @@ def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None
         _stage_plan(scenario), sample_times, state, advance, _rotate_atom, scenario.ramsey_angle
     )
     if scenario.frame == "lab":
-        states = [_dress(st, scenario, float(t)) if t != 0 else st for st, t in zip(states, times)]
+        states = [_dress(st, scenario, float(t)) if t > 0 else st for st, t in zip(states, times)]
     return Trajectory(scenario, times, states)
 
 
@@ -672,18 +684,77 @@ def branch_densify(bs: BranchState, scenario: Scenario) -> DensityMatrix:
     return DensityMatrix(layout, out.reshape(layout.dim, layout.dim))
 
 
-def _label_isometry(labels: list) -> np.ndarray:
-    """Columns are the coordinates of the coherent states |labels> in an orthonormal basis.
+def _label_isometries(label_sets: list) -> np.ndarray:
+    """Stacked coordinates of coherent states in orthonormal bases of their spans.
 
-    With the Gram matrix G = U diag(lam) U^dag of exact overlaps, L = diag(lam)^1/2 U^dag
-    satisfies L^dag L = G.  No inverse is taken, so coinciding labels are harmless.
-    At least two rows are kept so that every field stays an (effective) qubit.
+    ``label_sets`` holds one equal-length label list per stack entry.  Column j
+    of entry s holds the coordinates of ``|label_sets[s][j]>``: with the Gram
+    matrix G = U diag(lam) U^dag of exact overlaps, L = diag(lam)^1/2 U^dag
+    satisfies L^dag L = G.  No inverse is taken, so coinciding labels are
+    harmless.  At least two rows are kept so that every field stays an
+    (effective) qubit.
     """
-    gram = np.array([[coherent_overlap(a, b) for b in labels] for a in labels])
+    gram = np.array(
+        [[[coherent_overlap(a, b) for b in labels] for a in labels] for labels in label_sets]
+    )
     lam, vecs = np.linalg.eigh(gram)
-    iso = np.zeros((max(2, len(labels)), len(labels)), dtype=complex)
-    iso[: len(labels)] = np.sqrt(np.clip(lam, 0.0, None))[:, None] * vecs.conj().T
+    n = gram.shape[-1]
+    iso = np.zeros((len(gram), max(2, n), n), dtype=complex)
+    iso[:, :n] = np.sqrt(np.clip(lam, 0.0, None))[:, :, None] * vecs.conj().transpose(0, 2, 1)
     return iso
+
+
+def _term_structure(bs: BranchState):
+    """(structure key, weights, field-1 labels, field-2 labels) of a BranchState.
+
+    Snapshots with equal keys share the atomic dyads, the distinct-label counts
+    and the label-index pattern of their terms, so they compress as one stack.
+    """
+    rows = [(s, sp, *term) for (s, sp), lst in bs.terms.items() for term in lst]
+    atom_u, atom_v, w, u1, v1, u2, v2 = zip(*rows)
+    index1 = {lab: k for k, lab in enumerate(dict.fromkeys(u1 + v1))}
+    index2 = {lab: k for k, lab in enumerate(dict.fromkeys(u2 + v2))}
+    pattern = tuple(
+        tuple(index[lab] for lab in col)
+        for index, col in ((index1, u1), (index1, v1), (index2, u2), (index2, v2))
+    )
+    return (atom_u, atom_v, len(index1), len(index2), pattern), w, list(index1), list(index2)
+
+
+def _compress_stack(key, members) -> tuple[SubsystemLayout, np.ndarray]:
+    """(layout, (S, D, D) stack) of the BranchStates of one term structure.
+
+    ``members`` holds the (weights, labels 1, labels 2) of each state.
+    """
+    atom_u, atom_v, _, _, (iu1, iv1, iu2, iv2) = key
+    weights, labels1, labels2 = zip(*members)
+    iso1, iso2 = _label_isometries(labels1), _label_isometries(labels2)
+    count, r1, r2 = len(members), iso1.shape[1], iso2.shape[1]
+    terms = np.arange(len(atom_u))
+
+    def side(atom, idx1, idx2):
+        # |atom> (x) |lab1> (x) |lab2> in label coordinates, one row per term
+        vec = np.zeros((count, len(terms), 2, r1, r2), dtype=complex)
+        c1 = iso1[:, :, list(idx1)].transpose(0, 2, 1)
+        c2 = iso2[:, :, list(idx2)].transpose(0, 2, 1)
+        vec[:, terms, list(atom)] = c1[:, :, :, None] * c2[:, :, None, :]
+        return vec.reshape(count, len(terms), -1)
+
+    left, right = side(atom_u, iu1, iu2), side(atom_v, iv1, iv2)
+    w = np.array(weights, dtype=complex)
+    data = (left.transpose(0, 2, 1) * w[:, None, :]) @ right.conj()
+    return SubsystemLayout((2, r1, r2), ("atom", "field1", "field2")), data
+
+
+def _compressed_groups(states: list, indices: list):
+    """Yield (layout, stack, snapshot indices) per term structure of ``states[indices]``."""
+    groups: dict = {}
+    for i in indices:
+        key, *member = _term_structure(states[i])
+        groups.setdefault(key, []).append((i, member))
+    for key, entries in groups.items():
+        layout, stack = _compress_stack(key, [member for _, member in entries])
+        yield layout, stack, [i for i, _ in entries]
 
 
 def branch_compress(bs: BranchState) -> DensityMatrix:
@@ -693,25 +764,12 @@ def branch_compress(bs: BranchState) -> DensityMatrix:
     of dimension r_i = max(2, label count), giving the layout (2, r1, r2).  The
     result is the dense state conjugated by an isometry, so concurrences,
     effective-qubit reductions and purity equal those of the untruncated state.
+    It is the stack-of-one case of the grouped compression behind
+    :meth:`Trajectory.records`.
     """
-    rows = [(s, sp, *term) for (s, sp), lst in bs.terms.items() for term in lst]
-    atom_u, atom_v, w, u1, v1, u2, v2 = (list(col) for col in zip(*rows))
-    labels1 = list(dict.fromkeys(u1 + v1))
-    labels2 = list(dict.fromkeys(u2 + v2))
-    iso1, iso2 = _label_isometry(labels1), _label_isometry(labels2)
-    r1, r2 = iso1.shape[0], iso2.shape[0]
-
-    def side(atom, lab1, lab2):
-        # |atom> (x) |lab1> (x) |lab2> in label coordinates, one row per term
-        vec = np.zeros((len(rows), 2, r1, r2), dtype=complex)
-        c1 = iso1[:, [labels1.index(a) for a in lab1]].T
-        c2 = iso2[:, [labels2.index(b) for b in lab2]].T
-        vec[np.arange(len(rows)), atom] = c1[:, :, None] * c2[:, None, :]
-        return vec.reshape(len(rows), -1)
-
-    left, right = side(atom_u, u1, u2), side(atom_v, v1, v2)
-    data = (left.T * np.asarray(w)) @ right.conj()
-    return DensityMatrix(SubsystemLayout((2, r1, r2), ("atom", "field1", "field2")), data)
+    key, *member = _term_structure(bs)
+    layout, stack = _compress_stack(key, [member])
+    return DensityMatrix(layout, stack[0])
 
 
 def _branch_dress(bs: BranchState, scenario: Scenario, t: float) -> BranchState:

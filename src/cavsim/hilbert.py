@@ -204,16 +204,24 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError("keep must select at least one subsystem")
     if len(set(keep_idx)) != len(keep_idx):
         raise ValueError("duplicate subsystems in keep")
-    dims = rho.layout.dims
+    reduced = partial_trace_stack(rho.data[None], rho.layout.dims, keep_idx)
+    return DensityMatrix(rho.layout.subset(tuple(keep_idx)), reduced[0])
+
+
+def partial_trace_stack(data: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Reduced states of a (S, D, D) stack of one layout over the sorted indices ``keep``.
+
+    Each stack entry is traced exactly as a single state would be, so results do
+    not depend on the stack size.
+    """
     n = len(dims)
-    traced = [i for i in range(n) if i not in keep_idx]
-    t = rho.data.reshape(dims + dims)
+    t = data.reshape(data.shape[:1] + dims + dims)
     k = n
-    for ax in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + k)
+    for ax in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=ax + 1, axis2=ax + 1 + k)
         k -= 1
-    new_layout = rho.layout.subset(tuple(keep_idx))
-    return DensityMatrix(new_layout, t.reshape(new_layout.dim, new_layout.dim))
+    d = math.prod(dims[i] for i in keep)
+    return t.reshape(data.shape[0], d, d)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavsim import (
     DensityMatrix,
@@ -12,7 +14,7 @@ from cavsim import (
     run_scenario,
     wootters_concurrence,
 )
-from cavsim.entanglement import effective_two_qubit
+from cavsim.entanglement import effective_two_qubit, pairwise_concurrence_stack
 from cavsim.evolution import initial_density
 
 from conftest import margin_scenario, random_density, random_unitary, stage1_scenario
@@ -163,6 +165,65 @@ class TestPairwiseConcurrences:
         assert abs(pc.c_af1 - base.c_af1) < 1e-8
         assert abs(pc.c_af2 - base.c_af2) < 1e-8
         assert abs(pc.c_f1f2 - base.c_f1f2) < 1e-8
+
+
+def _off_support_state() -> np.ndarray:
+    """Atom (x) fields state on (2, 4, 4) whose field pair has no weight on its product support.
+
+    Both field reductions are I/4, so the top-2 supports are two Fock states
+    each, and the field pair lives on |0,2>, |1,3>, |2,0>, |3,1> only.
+    """
+    fields = np.zeros((16, 16))
+    for n, m in ((0, 2), (1, 3), (2, 0), (3, 1)):
+        fields[4 * n + m, 4 * n + m] = 0.25
+    return np.kron(np.diag([0.5, 0.5]), fields).astype(complex)
+
+
+class TestStackedExtraction:
+    """Each entry of a stacked extraction equals the single-state call exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r1=st.sampled_from([2, 3, 4]),
+        r2=st.sampled_from([2, 3, 4]),
+        ranks=st.lists(st.sampled_from([1, 2, None]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        at=st.integers(0, 6),
+    )
+    @example(r1=4, r2=4, ranks=[None, 1], seed=0, at=1)
+    def test_stack_entries_equal_single_calls(self, r1, r2, ranks, seed, at):
+        rng = np.random.default_rng(seed)
+        layout = SubsystemLayout((2, r1, r2), ("atom", "field1", "field2"))
+        d = layout.dim
+        # rank 1 (pure) and rank 2 states are rank deficient; None is full rank
+        stack = [random_density(rng, d) if k is None else _low_rank(rng, d, k) for k in ranks]
+        if (r1, r2) == (4, 4):
+            stack.insert(min(at, len(stack)), _off_support_state())
+        stack = np.array(stack)
+        batched = pairwise_concurrence_stack(stack, layout.dims)
+        assert len(batched) == len(stack)
+        for rho, got in zip(stack, batched):
+            single = pairwise_concurrences(DensityMatrix(layout, rho))
+            assert np.array_equal(
+                [got.c_af1, got.c_af2, got.c_f1f2], [single.c_af1, single.c_af2, single.c_f1f2]
+            )
+            assert np.array_equal(got.discarded_weight, single.discarded_weight)
+            assert got.flags == single.flags
+
+    def test_off_support_pair_takes_the_stub(self):
+        layout = SubsystemLayout((2, 4, 4), ("atom", "field1", "field2"))
+        rho = DensityMatrix(layout, _off_support_state())
+        red = effective_two_qubit(partial_trace(rho, (1, 2)))
+        assert red.discarded_weight == 1.0
+        assert red.support_deficient
+        assert np.array_equal(red.two_qubit_state, np.eye(4) / 4.0)
+        assert "support_loss:F1F2" in pairwise_concurrences(rho).flags
+
+
+def _low_rank(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestMonogamy:

@@ -20,6 +20,7 @@ from cavsim import (
     dissipative_map,
     initial_density,
     mean_photon_number,
+    pairwise_concurrences,
     ramsey_unitary,
     rho_stage1,
     run_scenario,
@@ -29,7 +30,7 @@ from cavsim import (
 )
 from cavsim.analytic import coherence_factor
 from cavsim.evolution import BranchState as BS
-from cavsim.evolution import branch_compress, branch_densify, branch_step
+from cavsim.evolution import _term_structure, branch_compress, branch_densify, branch_step
 from cavsim.hilbert import coherent_overlap, coherent_vector
 
 from conftest import margin_scenario, random_density, stage1_scenario
@@ -381,6 +382,26 @@ class TestBranchRecords:
         big = branch_compress(_three_label_state(rng))
         big.validate(check_positivity=True)
 
+    @pytest.mark.parametrize("initial", ["default", "three_label"])
+    def test_grouped_records_equal_per_snapshot_extraction(self, rng, initial):
+        # t = 0, an instantaneous Ramsey pulse and, for the three-label state,
+        # differently structured snapshots all land in one trajectory
+        sc = margin_scenario(alpha=1.0, beta=0.5, g=0.3, q=0.6, phi=0.4, frame="lab")
+        sc = sc.variant(stage_durations=(30.0, 10.0, 0.0, 10.0, 30.0))
+        bs = _three_label_state(rng) if initial == "three_label" else None
+        times = np.concatenate([[0.0, 0.0], np.linspace(0.0, sc.total_time(), 17)])
+        times.sort()
+        traj = branch_run(sc, times, initial=bs)
+        assert len({_term_structure(st)[0] for st in traj.states}) >= 3
+        for rec, st, t in zip(traj.records(), traj.states, times):
+            small = branch_compress(st)
+            pc = pairwise_concurrences(small)
+            expected = (float(t), pc.c_af1, pc.c_af2, pc.c_f1f2, pc.discarded_weight,
+                        small.purity(), ";".join(pc.flags))
+            got = (rec.t_us, rec.c_af1, rec.c_af2, rec.c_f1f2, rec.discarded_weight,
+                   rec.purity, rec.flags)
+            assert got == expected
+
     def test_records_ignore_fock_cutoffs(self):
         # densifying at n = 1 raises TruncationTooSmall; the label basis needs no cutoff
         sc = Scenario().variant(alpha=0.5, beta=0.5, g=0.05, q=0.05)
@@ -426,10 +447,11 @@ class TestFrames:
 
     def test_lab_branch_matches_lab_dense(self):
         sc = margin_scenario(alpha=1.0, beta=0.5, g=0.05, q=0.2, frame="lab")
-        times = [25.0, 55.0, 90.0]
+        # -1e-12 is the earliest sample the grid check accepts; neither backend dresses it
+        times = [-1e-12, 25.0, 55.0, 90.0]
         dense = run_scenario(sc, times)
         branch = branch_run(sc, times)
-        for i in range(3):
+        for i in range(len(times)):
             assert trace_distance(dense.states[i], branch.dense_state(i)) < 1e-8
 
 
