@@ -2,6 +2,13 @@
 cavities and a Ramsey zone, tracking pairwise entanglement of atom and fields.
 """
 
+import os
+
+# One OpenBLAS thread unless the caller set a count, before numpy loads OpenBLAS:
+# dense results move in the last bits with the thread count (up to 1.9e-14), so
+# unpinned `--backend dense` CSV bytes would depend on the host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analytic import (
     Stage1Snapshot,
     branch_amplitudes,

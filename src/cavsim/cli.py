@@ -16,15 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, lindblad, presets, validation
-from .config import ConfigError, SweepSpec, parse_config, sweep_filename
-from .evolution import (
-    Scenario,
-    Trajectory,
-    branch_run,
-    dispersive_validity,
-    run_scenario,
-)
+from . import analytic, presets, validation
+from .config import BACKENDS, ConfigError, SweepSpec, parse_config, sweep_filename
+from .evolution import Scenario, Trajectory, dispersive_validity
 
 OUT_ENV = "CAVSIM_OUT"
 CSV_HEADER = "t_us,C_AF1,C_AF2,C_F1F2,discarded_weight,purity,flags"
@@ -41,41 +35,29 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def write_records(path: Path, records) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    (
-                        _fmt(r.t_us),
-                        _fmt(r.c_af1),
-                        _fmt(r.c_af2),
-                        _fmt(r.c_f1f2),
-                        _fmt(r.discarded_weight),
-                        _fmt(r.purity),
-                        r.flags,
-                    )
-                )
-                + "\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def write_records(path: Path, records) -> None:
+    rows = (
+        [*map(_fmt, (r.t_us, r.c_af1, r.c_af2, r.c_f1f2, r.discarded_weight, r.purity)), r.flags]
+        for r in records
+    )
+    _write_csv(path, CSV_HEADER, rows)
 
 
 def write_phase_space(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(PHASE_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, PHASE_HEADER, ([_fmt(v) for v in row] for row in rows))
 
 
 def _run_backend(scenario: Scenario, times, backend: str) -> Trajectory:
-    if backend == "dense":
-        return run_scenario(scenario, times)
-    if backend == "branch":
-        return branch_run(scenario, times)
-    if backend == "oracle":
-        return lindblad.run_oracle(scenario, times)
-    raise ConfigError(f"unknown backend '{backend}'", key="backend")
+    if backend not in BACKENDS:
+        raise ConfigError(f"unknown backend '{backend}'", key="backend")
+    return BACKENDS[backend](scenario, times)
 
 
 def compute_records(scenario: Scenario, times, backend: str, converge: bool = False):
@@ -90,10 +72,7 @@ def compute_records(scenario: Scenario, times, backend: str, converge: bool = Fa
         n1, n2 = scenario.truncations()
         bigger = scenario.variant(n1=n1 + CONVERGE_STEP, n2=n2 + CONVERGE_STEP)
         refined = _run_backend(bigger, times, backend).records()
-        change = max(
-            max(abs(a.c_af1 - b.c_af1), abs(a.c_af2 - b.c_af2), abs(a.c_f1f2 - b.c_f1f2))
-            for a, b in zip(records, refined)
-        )
+        change = validation._record_gap(records, refined, validation.CONCURRENCES)
         scenario, records = bigger, refined
         if change < CONVERGE_TOL:
             return records
@@ -104,8 +83,9 @@ def _sample_grid(scenario: Scenario, n_samples: int) -> np.ndarray:
     return np.linspace(0.0, scenario.total_time(), n_samples)
 
 
-def _load_config(path: str) -> tuple[Scenario, SweepSpec]:
-    return parse_config(Path(path).read_text())
+def _load_config(args) -> tuple[Scenario, SweepSpec]:
+    scenario, sweep = parse_config(Path(args.config).read_text())
+    return _apply_overrides(scenario, args), sweep
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -135,8 +115,7 @@ def _sweep_point(task):
 
 
 def cmd_simulate(args) -> int:
-    scenario, sweep = _load_config(args.config)
-    scenario = _apply_overrides(scenario, args)
+    scenario, sweep = _load_config(args)
     backend = args.backend or sweep.backend
     dispersive_validity(scenario)
     times = _sample_grid(scenario, sweep.n_samples)
@@ -150,8 +129,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}", key="jobs")
-    scenario, sweep = _load_config(args.config)
-    scenario = _apply_overrides(scenario, args)
+    scenario, sweep = _load_config(args)
     backend = args.backend or sweep.backend
     out = _out_dir(args)
     alphas = sweep.alpha_values or (scenario.alpha,)
@@ -206,8 +184,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_phase_space(args) -> int:
-    scenario, sweep = _load_config(args.config)
-    scenario = _apply_overrides(scenario, args)
+    scenario, sweep = _load_config(args)
     times = np.linspace(0.0, scenario.stage_durations[0], sweep.n_samples)
     out = _out_dir(args) / (Path(args.config).stem + "_phase_space.csv")
     write_phase_space(out, analytic.phase_space_rows(times, scenario))
@@ -226,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("config", help="key = value config file")
         p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or '.')")
-        p.add_argument("--backend", choices=("dense", "branch", "oracle"))
+        p.add_argument("--backend", choices=BACKENDS)
         p.add_argument("--truncation", help="override Fock cutoffs as N1,N2")
         p.add_argument(
             "--converge",

@@ -8,14 +8,16 @@ pasted into a report.  Absent keys fall back to the experimental defaults of
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
-import math
 from dataclasses import dataclass
 
-from .evolution import Scenario
+from .evolution import Scenario, branch_run, run_scenario
 from .exceptions import ConfigError
+from .lindblad import run_oracle
 
-BACKENDS = ("dense", "branch", "oracle")
+# backend name -> trajectory runner (scenario, sample times); the one list of backends
+BACKENDS = {"dense": run_scenario, "branch": branch_run, "oracle": run_oracle}
 
 
 @dataclass(frozen=True)
@@ -37,29 +39,43 @@ class SweepSpec:
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive", key="n_samples")
         if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}", key="backend")
+            raise ConfigError(f"backend must be one of {tuple(BACKENDS)}", key="backend")
         return self
 
 
-_FLOAT_KEYS = {
-    "omega_a",
-    "omega_1",
-    "omega_2",
-    "Omega_1",
-    "Omega_2",
-    "Delta_1",
-    "Delta_2",
-    "omega_tilde_1",
-    "omega_tilde_2",
-    "gamma_1",
-    "gamma_2",
-    "phi",
-    "ramsey_angle",
-    "tail_tol",
+# config key -> (Scenario or SweepSpec field, value kind).  The decay ratios g, q
+# and rates gamma_i have no field: they are resolved against omega_i once the
+# Scenario is built.  A kind in a 1-tuple is a comma-separated list of that kind.
+_KEYS = {
+    "omega_a": ("omega_a", float),
+    "omega_1": ("omega_1", float),
+    "omega_2": ("omega_2", float),
+    "Omega_1": ("Omega_1", float),
+    "Omega_2": ("Omega_2", float),
+    "Delta_1": ("Delta_1", float),
+    "Delta_2": ("Delta_2", float),
+    "omega_tilde_1": ("omega_tilde_1", float),
+    "omega_tilde_2": ("omega_tilde_2", float),
+    "phi": ("phi", float),
+    "ramsey_angle": ("ramsey_angle", float),
+    "tail_tol": ("tail_tol", float),
+    "alpha": ("alpha", complex),
+    "beta": ("beta", complex),
+    "durations": ("stage_durations", (float,)),
+    "N1": ("n1", int),
+    "N2": ("n2", int),
+    "frame": ("frame", str),
+    "g": (None, float),
+    "q": (None, float),
+    "gamma_1": (None, float),
+    "gamma_2": (None, float),
+    "sweep_g": ("g_values", (float,)),
+    "sweep_q": ("q_values", (float,)),
+    "sweep_alpha": ("alpha_values", (complex,)),
+    "sweep_beta": ("beta_values", (complex,)),
+    "n_samples": ("n_samples", int),
+    "backend": ("backend", str),
 }
-_COMPLEX_KEYS = {"alpha", "beta"}
-_INT_KEYS = {"N1", "N2", "n_samples"}
-_LIST_KEYS = {"sweep_g", "sweep_q", "sweep_alpha", "sweep_beta"}
 
 
 def _parse_number(raw: str, key: str, line: int, kind):
@@ -67,9 +83,21 @@ def _parse_number(raw: str, key: str, line: int, kind):
         value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value '{raw}'", key=key, line=line) from exc
-    if kind is float and not math.isfinite(value):
+    if kind is not int and not cmath.isfinite(value):
         raise ConfigError("value must be finite", key=key, line=line)
     return value
+
+
+def _parse_value(raw: str, key: str, line: int, kind):
+    """Value of one assignment; spaces are dropped from complex values and sweep lists."""
+    if kind is str:
+        return raw
+    if not isinstance(kind, tuple):
+        return _parse_number(raw.replace(" ", "") if kind is complex else raw, key, line, kind)
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if key.startswith("sweep_"):
+        parts = [p.replace(" ", "") for p in parts]
+    return tuple(_parse_number(p, key, line, kind[0]) for p in parts)
 
 
 def parse_config(text: str) -> tuple[Scenario, SweepSpec]:
@@ -86,55 +114,18 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec]:
         raw = raw.strip()
         if key in assignments:
             raise ConfigError("duplicate key", key=key, line=lineno)
-        if key in _FLOAT_KEYS or key in ("g", "q"):
-            value: object = _parse_number(raw, key, lineno, float)
-        elif key in _COMPLEX_KEYS:
-            value = _parse_number(raw.replace(" ", ""), key, lineno, complex)
-        elif key in _INT_KEYS:
-            value = _parse_number(raw, key, lineno, int)
-        elif key == "durations":
-            parts = [p for p in raw.split(",") if p.strip()]
-            value = tuple(_parse_number(p.strip(), key, lineno, float) for p in parts)
-            if len(value) != 5:
-                raise ConfigError("expected five comma-separated durations", key=key, line=lineno)
-        elif key in _LIST_KEYS:
-            parts = [p for p in raw.split(",") if p.strip()]
-            kind = complex if key in ("sweep_alpha", "sweep_beta") else float
-            value = tuple(_parse_number(p.strip().replace(" ", ""), key, lineno, kind) for p in parts)
-        elif key in ("frame", "backend"):
-            value = raw
-        else:
+        if key not in _KEYS:
             raise ConfigError("unknown key", key=key, line=lineno)
+        value = _parse_value(raw, key, lineno, _KEYS[key][1])
+        if key == "durations" and len(value) != 5:
+            raise ConfigError("expected five comma-separated durations", key=key, line=lineno)
         assignments[key] = (value, lineno)
 
-    def take(key, default=None):
-        return assignments.pop(key, (default, None))[0]
+    def fields_of(cls) -> dict:
+        names = {f.name for f in dataclasses.fields(cls)}
+        return {_KEYS[k][0]: v for k, (v, _) in assignments.items() if _KEYS[k][0] in names}
 
-    scenario_kwargs = {}
-    for key, field_name in (
-        ("omega_a", "omega_a"),
-        ("omega_1", "omega_1"),
-        ("omega_2", "omega_2"),
-        ("Omega_1", "Omega_1"),
-        ("Omega_2", "Omega_2"),
-        ("Delta_1", "Delta_1"),
-        ("Delta_2", "Delta_2"),
-        ("omega_tilde_1", "omega_tilde_1"),
-        ("omega_tilde_2", "omega_tilde_2"),
-        ("phi", "phi"),
-        ("ramsey_angle", "ramsey_angle"),
-        ("alpha", "alpha"),
-        ("beta", "beta"),
-        ("durations", "stage_durations"),
-        ("N1", "n1"),
-        ("N2", "n2"),
-        ("frame", "frame"),
-        ("tail_tol", "tail_tol"),
-    ):
-        if key in assignments:
-            scenario_kwargs[field_name] = take(key)
-
-    scenario = dataclasses.replace(Scenario(), **scenario_kwargs)
+    scenario = Scenario(**fields_of(Scenario))
 
     for ratio_key, gamma_key, omega in (
         ("g", "gamma_1", scenario.omega_1),
@@ -158,14 +149,7 @@ def parse_config(text: str) -> tuple[Scenario, SweepSpec]:
                 raise ConfigError("decay rate must be non-negative", key=gamma_key, line=line)
             scenario = dataclasses.replace(scenario, **{gamma_key: rate})
 
-    sweep = SweepSpec(
-        g_values=take("sweep_g", (0.0,)),
-        q_values=take("sweep_q", (0.0,)),
-        alpha_values=take("sweep_alpha"),
-        beta_values=take("sweep_beta"),
-        n_samples=take("n_samples", 181),
-        backend=take("backend", "dense"),
-    )
+    sweep = SweepSpec(**fields_of(SweepSpec))
     scenario.validate()
     sweep.validate()
     return scenario, sweep

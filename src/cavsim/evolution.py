@@ -24,9 +24,11 @@ compressed onto the orthonormalized span of its coherent labels
 (:func:`branch_compress`), so the Fock cutoffs N1/N2 only affect
 :meth:`Trajectory.dense_state`.
 
-Both backends and the integrator in :mod:`cavsim.lindblad` walk the stages
-through one rotating-frame traversal (:func:`_traverse`) and supply only a
-per-stage advance and an atomic rotation; lab snapshots are dressed afterwards.
+Both backends run through one closed-form driver (:func:`_closed_form_run`):
+it steps every sample from its stage-start state and dresses lab snapshots
+afterwards.  The driver and the integrator in :mod:`cavsim.lindblad` walk the
+stages through one rotating-frame traversal (:func:`_traverse`), supplying a
+per-stage advance and an atomic rotation.
 
 Units: time in microseconds, angular frequencies in rad/us.  The conventional
 "kHz" experimental values map to 1e-3 rad/us.
@@ -66,13 +68,7 @@ class StageKind(Enum):
     CAVITY2 = 4
 
 
-STAGE_ORDER = (
-    StageKind.CAVITY1,
-    StageKind.FREE1,
-    StageKind.RAMSEY,
-    StageKind.FREE2,
-    StageKind.CAVITY2,
-)
+STAGE_ORDER = tuple(StageKind)
 
 
 def default_truncation(amplitude: complex) -> int:
@@ -227,10 +223,7 @@ def dispersive_unitary(omega: float, tau: float, truncation: int) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    d = truncation + 1
-    p = np.exp(-1j * omega * tau)
-    powers = _phase_powers(p, d + 1)
-    return np.diag(np.concatenate([powers[1:], powers[:d].conj()]))
+    return np.diag(np.concatenate(_dispersive_phases(omega, tau, truncation + 1)))
 
 
 def ramsey_unitary(theta: float) -> np.ndarray:
@@ -247,6 +240,12 @@ def _phase_powers(scalar: complex, count: int) -> np.ndarray:
     if count > 1:
         np.cumprod(np.full(count - 1, scalar, dtype=complex), out=v[1:])
     return v
+
+
+def _dispersive_phases(omega: float, tau: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dispersive phases on |e,n> and on |g,n> for n < d (see :func:`dispersive_unitary`)."""
+    powers = _phase_powers(np.exp(-1j * omega * tau), d + 1)
+    return powers[1:], powers[:d].conj()
 
 
 def _f_coefficient(gamma: float, omega_lam: float, tau: float) -> complex:
@@ -357,21 +356,6 @@ def _dress(rho: DensityMatrix, scenario: Scenario, t: float) -> DensityMatrix:
     return DensityMatrix(rho.layout, data)
 
 
-def _dispersive_phase_vector(omega: float, tau: float, d1: int, d2: int, which: int) -> np.ndarray:
-    p = np.exp(-1j * omega * tau)
-    d = d1 if which == 1 else d2
-    powers = _phase_powers(p, d + 1)
-    e_side, g_side = powers[1:], powers[:d].conj()
-    ph = np.empty((2, d1, d2), dtype=complex)
-    if which == 1:
-        ph[EXCITED] = e_side[:, None]
-        ph[GROUND] = g_side[:, None]
-    else:
-        ph[EXCITED] = e_side[None, :]
-        ph[GROUND] = g_side[None, :]
-    return ph.reshape(-1)
-
-
 def _rotate_atom(rho: DensityMatrix, theta: float) -> DensityMatrix:
     """Conjugate the atom of rho by the Ramsey rotation of pulse area theta."""
     r2, rest = ramsey_unitary(theta), rho.layout.dims[1] * rho.layout.dims[2]
@@ -394,21 +378,19 @@ def stage_step(
     This is a rotating-frame map: ``scenario.frame`` is not read.
     """
     out = dissipative_map(rho, stage, tau, scenario)
-    d1, d2 = rho.layout.dims[1], rho.layout.dims[2]
-    data = out.data
-    if stage is StageKind.CAVITY1 and tau > 0 and scenario.omega_1 != 0:
-        ph = _dispersive_phase_vector(scenario.omega_1, tau, d1, d2, which=1)
-        data *= ph[:, None]
-        data *= ph.conj()[None, :]
-    elif stage is StageKind.CAVITY2 and tau > 0 and scenario.omega_2 != 0:
-        ph = _dispersive_phase_vector(scenario.omega_2, tau, d1, d2, which=2)
-        data *= ph[:, None]
-        data *= ph.conj()[None, :]
-    elif stage is StageKind.RAMSEY:
-        theta = _ramsey_area(scenario, tau)
-        if theta:
-            return _rotate_atom(out, theta)
-    return DensityMatrix(rho.layout, data)
+    data, dims = out.data, rho.layout.dims
+    for axis, omega in enumerate(scenario.omega_active(stage), start=1):
+        if tau > 0 and omega != 0:
+            # rows EXCITED = 0, GROUND = 1, broadcast over the other field
+            shape = [2, 1, 1]
+            shape[axis] = dims[axis]
+            ph = np.stack(_dispersive_phases(omega, tau, dims[axis])).reshape(shape)
+            ph = np.broadcast_to(ph, dims).reshape(-1)
+            data *= ph[:, None]
+            data *= ph.conj()[None, :]
+    if stage is StageKind.RAMSEY and (theta := _ramsey_area(scenario, tau)):
+        return _rotate_atom(out, theta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -523,37 +505,43 @@ def _traverse(plan, sample_times, state, advance, rotate, ramsey_angle: float):
     return times, snapshots
 
 
-def _from_stage_start(step, scenario: Scenario):
-    """Traversal advance of a closed-form backend: each tau is stepped from the stage start."""
+def _closed_form_run(scenario: Scenario, sample_times, state, step, rotate, dress) -> Trajectory:
+    """The one driver of the closed-form backends (dense and coherent-branch).
 
-    def advance(state, stage, taus):
-        return [step(state, stage, float(tau), scenario) if tau > 0 else state for tau in taus]
+    Each sample is ``step(state, stage, tau, scenario)`` from its stage-start
+    state, and a zero-duration Ramsey stage is ``rotate(state, ramsey_angle)``
+    (see :func:`_traverse`).  In lab mode the traversal runs in the rotating
+    frame and each snapshot at t > 0 is ``dress(state, scenario, t)``, the free
+    phases accumulated since t0: referencing the Ramsey drive phase to t0
+    keeps the two frames related by a local unitary (dressing stage by stage
+    would tilt the pulse axis by the atomic phase accumulated before the
+    Ramsey zone, which no measured quantity here can resolve).
+    """
 
-    return advance
+    def advance(st, stage, taus):
+        return [step(st, stage, float(tau), scenario) if tau > 0 else st for tau in taus]
+
+    times, states = _traverse(
+        _stage_plan(scenario), sample_times, state, advance, rotate, scenario.ramsey_angle
+    )
+    if scenario.frame == "lab":
+        states = [dress(st, scenario, float(t)) if t > 0 else st for st, t in zip(states, times)]
+    return Trajectory(scenario, times, states)
 
 
 def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None = None) -> Trajectory:
     """Dense-backend traversal; snapshots at the requested times.
 
     A zero-duration Ramsey stage is treated as an instantaneous rotation by the
-    full pulse area when the traversal crosses it.  In lab mode the traversal
-    runs in the rotating frame and each snapshot is dressed with the free
-    phases accumulated since t0: referencing the Ramsey drive phase to t0
-    keeps the two frames related by a local unitary (dressing stage by stage
-    would tilt the pulse axis by the atomic phase accumulated before the
-    Ramsey zone, which no measured quantity here can resolve).
+    full pulse area when the traversal crosses it.  Lab-mode snapshots are the
+    rotating-frame ones dressed with the free phases accumulated since t0
+    (see :func:`_closed_form_run`).
     """
     scenario.validate()
     state = initial if initial is not None else initial_density(scenario)
     if not isinstance(state, DensityMatrix):
         raise TypeError("initial must be a DensityMatrix")
-    advance = _from_stage_start(stage_step, scenario)
-    times, states = _traverse(
-        _stage_plan(scenario), sample_times, state, advance, _rotate_atom, scenario.ramsey_angle
-    )
-    if scenario.frame == "lab":
-        states = [_dress(st, scenario, float(t)) if t > 0 else st for st, t in zip(states, times)]
-    return Trajectory(scenario, times, states)
+    return _closed_form_run(scenario, sample_times, state, stage_step, _rotate_atom, _dress)
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +573,11 @@ class BranchState:
         return max(len(v) for v in self.terms.values())
 
 
-def _branch_ramsey_mix(terms: dict, theta: float) -> dict:
+def _branch_rotate(bs: BranchState, theta: float) -> BranchState:
+    """Conjugate the atom of a BranchState by the Ramsey rotation of pulse area theta."""
     r = ramsey_unitary(theta)
     mixed: dict = {(a, b): [] for a in (0, 1) for b in (0, 1)}
-    for (s, sp), lst in terms.items():
+    for (s, sp), lst in bs.terms.items():
         for w, u1, v1, u2, v2 in lst:
             for a in (0, 1):
                 ra = r[a, s]
@@ -599,11 +588,7 @@ def _branch_ramsey_mix(terms: dict, theta: float) -> dict:
                     if rb == 0:
                         continue
                     mixed[(a, b)].append([w * ra * rb, u1, v1, u2, v2])
-    return mixed
-
-
-def _branch_rotate(bs: BranchState, theta: float) -> BranchState:
-    return BranchState(_branch_ramsey_mix(bs.terms, theta))
+    return BranchState(mixed)
 
 
 def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenario) -> BranchState:
@@ -652,10 +637,8 @@ def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenari
                     v2 = v2 * np.conj(p2)
             out.append([w, u1, v1, u2, v2])
         new_terms[(s, sp)] = out
-    if stage is StageKind.RAMSEY:
-        theta = _ramsey_area(sc, tau)
-        if theta:
-            new_terms = _branch_ramsey_mix(new_terms, theta)
+    if stage is StageKind.RAMSEY and (theta := _ramsey_area(sc, tau)):
+        return _branch_rotate(BranchState(new_terms), theta)
     return BranchState(new_terms)
 
 
@@ -790,7 +773,7 @@ def branch_run(scenario: Scenario, sample_times, initial: BranchState | None = N
     """Coherent-branch traversal; snapshots stay sparse (see :func:`branch_compress`).
 
     Lab mode dresses the rotating-frame snapshots with the free phases
-    accumulated since t0, mirroring :func:`run_scenario`.
+    accumulated since t0, as :func:`run_scenario` does (see :func:`_closed_form_run`).
     """
     scenario.validate()
     if initial is not None and not isinstance(initial, BranchState):
@@ -799,13 +782,4 @@ def branch_run(scenario: Scenario, sample_times, initial: BranchState | None = N
             "states only; pass a BranchState or use the dense backend"
         )
     state = initial if initial is not None else BranchState.from_scenario(scenario)
-    advance = _from_stage_start(branch_step, scenario)
-    times, states = _traverse(
-        _stage_plan(scenario), sample_times, state, advance, _branch_rotate, scenario.ramsey_angle
-    )
-    if scenario.frame == "lab":
-        states = [
-            _branch_dress(st, scenario, float(t)) if t > 0 else st
-            for st, t in zip(states, times)
-        ]
-    return Trajectory(scenario, times, states)
+    return _closed_form_run(scenario, sample_times, state, branch_step, _branch_rotate, _branch_dress)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .config import encode_value
+from .config import encode_value, sweep_filename
 from .evolution import ConcurrenceRecord, Scenario
 
 PRESET_NAMES = ("fig2", "fig4", "fig5", "fig6", "fig7", "full")
@@ -76,11 +76,7 @@ def preset_jobs(name: str, base: Scenario | None = None) -> list[PresetJob]:
     for alpha, beta, g, q in combos:
         sc = base.variant(g=g, q=q, alpha=alpha, beta=beta)
         grid = np.linspace(0.0, sc.total_time(), 181)
-        fname = (
-            f"{name}_a{encode_value(alpha)}_b{encode_value(beta)}"
-            f"_g{encode_value(g)}_q{encode_value(q)}.csv"
-        )
-        jobs.append(PresetJob(fname, sc, grid, "branch"))
+        jobs.append(PresetJob(f"{name}_{sweep_filename(alpha, beta, g, q)}", sc, grid, "branch"))
     return jobs
 
 

@@ -30,6 +30,14 @@ CERT_GRID = (0.0, 0.05, 0.5, 1.0)
 CERT_AMPLITUDES = (0.5, 1.0, 2.0)
 CERT_MARGIN = 10  # Fock cutoffs above the default rule for raw-state comparisons
 CONCURRENCES = ("c_af1", "c_af2", "c_f1f2")
+STATE_TOL = 1e-8  # trace distance of states, and record gap, between backends
+LANDMARK_TOL = 1e-6  # closed-form concurrence landmark
+MIN_EIGENVALUE = -1e-9  # most negative snapshot eigenvalue accepted as roundoff
+CERT_TIMES = 9  # samples per branch-certification run
+ORACLE_TOL = 1e-6  # trace distance of dense and oracle states
+ORACLE_CHECKPOINTS = 10  # samples of the oracle certification run
+FRAME_TOL = 1e-8  # concurrence shift between the rotating and lab frames
+SEMIGROUP_TOL = 1e-9  # trace distance of one step and two split steps
 
 
 @dataclass(frozen=True)
@@ -53,9 +61,8 @@ def _stage1_scenario(alpha, g, t1: float = 1000.0) -> Scenario:
     )
 
 
-def stage1_equivalence(alphas, gs, times, tol: float = 1e-8) -> list[CheckResult]:
+def stage1_equivalence(alphas, gs, times) -> list[CheckResult]:
     """Analytic vs dense vs branch on the first cavity."""
-    results = []
     worst_ad = worst_bd = 0.0
     for alpha in alphas:
         for g in gs:
@@ -68,31 +75,25 @@ def stage1_equivalence(alphas, gs, times, tol: float = 1e-8) -> list[CheckResult
                 worst_bd = max(
                     worst_bd, trace_distance(dense.states[i], branch.dense_state(i))
                 )
-    results.append(
+    return [
         CheckResult(
-            "analytic-vs-dense (stage 1)",
-            worst_ad < tol,
-            f"worst trace distance {worst_ad:.3e} (tol {tol:.1e})",
+            name, worst < STATE_TOL, f"worst trace distance {worst:.3e} (tol {STATE_TOL:.1e})"
         )
-    )
-    results.append(
-        CheckResult(
-            "branch-vs-dense (stage 1)",
-            worst_bd < tol,
-            f"worst trace distance {worst_bd:.3e} (tol {tol:.1e})",
+        for name, worst in (
+            ("analytic-vs-dense (stage 1)", worst_ad),
+            ("branch-vs-dense (stage 1)", worst_bd),
         )
-    )
-    return results
+    ]
 
 
-def concurrence_landmark(tol: float = 1e-6) -> CheckResult:
+def concurrence_landmark() -> CheckResult:
     """Lossless peak sqrt(1 - e^{-4|a|^2}) at omega_1 t = pi/2 and zero at pi."""
     sc = _stage1_scenario(1.0, 0.0)
     t_peak = 0.5 * math.pi / sc.omega_1
     peak = analytic.concurrence_stage1(t_peak, sc)
     zero = analytic.concurrence_stage1(2.0 * t_peak, sc)
     expected = math.sqrt(1.0 - math.exp(-4.0))
-    ok = abs(peak - expected) < tol and zero < tol
+    ok = abs(peak - expected) < LANDMARK_TOL and zero < LANDMARK_TOL
     return CheckResult(
         "concurrence landmark",
         ok,
@@ -100,7 +101,7 @@ def concurrence_landmark(tol: float = 1e-6) -> CheckResult:
     )
 
 
-def snapshot_invariants(tol_pos: float = -1e-9) -> CheckResult:
+def snapshot_invariants() -> CheckResult:
     """Hermiticity/trace/positivity of dense snapshots along a lossy traversal."""
     sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
     traj = run_scenario(sc, np.linspace(0.0, sc.total_time(), 16))
@@ -110,8 +111,8 @@ def snapshot_invariants(tol_pos: float = -1e-9) -> CheckResult:
         worst = min(worst, float(np.linalg.eigvalsh(st.data)[0]))
     return CheckResult(
         "snapshot invariants",
-        worst >= tol_pos,
-        f"minimum eigenvalue {worst:.3e} (tol {tol_pos:.1e})",
+        worst >= MIN_EIGENVALUE,
+        f"minimum eigenvalue {worst:.3e} (tol {MIN_EIGENVALUE:.1e})",
     )
 
 
@@ -123,7 +124,7 @@ def quick_checks() -> list[CheckResult]:
     return results
 
 
-def branch_certification(tol: float = 1e-8, n_times: int = 9) -> CheckResult:
+def branch_certification() -> CheckResult:
     """Branch vs dense over the full (alpha, beta, g, q) experimental grid.
 
     Both the states (trace distance) and the records (concurrences and purity,
@@ -140,7 +141,7 @@ def branch_certification(tol: float = 1e-8, n_times: int = 9) -> CheckResult:
                 n1=default_truncation(alpha) + CERT_MARGIN,
                 n2=default_truncation(beta) + CERT_MARGIN,
             )
-            times = np.linspace(0.0, sc.total_time(), n_times)
+            times = np.linspace(0.0, sc.total_time(), CERT_TIMES)
             for g in CERT_GRID:
                 for q in CERT_GRID:
                     run_sc = sc.variant(g=g, q=q)
@@ -148,7 +149,7 @@ def branch_certification(tol: float = 1e-8, n_times: int = 9) -> CheckResult:
                     branch = branch_run(run_sc, times)
                     for i in range(times.size):
                         if not first_failure and not trace_distance_below(
-                            dense.states[i], branch.dense_state(i), tol
+                            dense.states[i], branch.dense_state(i), STATE_TOL
                         ):
                             first_failure = (
                                 f"alpha={alpha} beta={beta} g={g} q={q} t={times[i]:.1f}"
@@ -156,17 +157,17 @@ def branch_certification(tol: float = 1e-8, n_times: int = 9) -> CheckResult:
                     gap = _record_gap(dense.records(), branch.records(), CONCURRENCES + ("purity",))
                     worst_record = max(worst_record, gap)
     elapsed = time.perf_counter() - t0
-    passed = not first_failure and worst_record < tol
+    passed = not first_failure and worst_record < STATE_TOL
     detail = f"144 runs in {elapsed:.1f}s, worst record gap {worst_record:.1e}" + (
         f"; first failure {first_failure}" if first_failure else ""
     )
     return CheckResult("branch-vs-dense (full grid)", passed, detail)
 
 
-def oracle_certification(tol: float = 1e-6, checkpoints: int = 10) -> CheckResult:
+def oracle_certification() -> CheckResult:
     """Dense factorized maps vs direct master-equation integration."""
     sc = Scenario().variant(g=0.05, q=0.05, alpha=1.0, beta=1.0, n1=20, n2=20)
-    times = np.linspace(0.0, sc.total_time(), checkpoints)
+    times = np.linspace(0.0, sc.total_time(), ORACLE_CHECKPOINTS)
     t0 = time.perf_counter()
     dense = run_scenario(sc, times)
     oracle = lindblad.run_oracle(sc, times)
@@ -176,12 +177,12 @@ def oracle_certification(tol: float = 1e-6, checkpoints: int = 10) -> CheckResul
     elapsed = time.perf_counter() - t0
     return CheckResult(
         "dense-vs-oracle (5 stages)",
-        worst < tol,
-        f"worst trace distance {worst:.3e} (tol {tol:.1e}) in {elapsed:.1f}s",
+        worst < ORACLE_TOL,
+        f"worst trace distance {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s",
     )
 
 
-def frame_invariance(tol: float = 1e-8) -> CheckResult:
+def frame_invariance() -> CheckResult:
     """Pairwise concurrences agree between the rotating and lab frames."""
     sc = Scenario().variant(g=0.05, q=0.5, alpha=1.0, beta=0.5)
     times = np.linspace(0.0, sc.total_time(), 7)
@@ -189,11 +190,11 @@ def frame_invariance(tol: float = 1e-8) -> CheckResult:
     lab = run_scenario(sc.variant(frame="lab"), times).records()
     worst = _record_gap(rot, lab, CONCURRENCES)
     return CheckResult(
-        "frame invariance", worst < tol, f"worst concurrence shift {worst:.3e}"
+        "frame invariance", worst < FRAME_TOL, f"worst concurrence shift {worst:.3e}"
     )
 
 
-def semigroup_property(tol: float = 1e-9) -> CheckResult:
+def semigroup_property() -> CheckResult:
     """stage_step(t1+t2) equals stage_step(t2) after stage_step(t1), per stage."""
     sc = Scenario().variant(g=0.5, q=0.3, alpha=1.0, beta=0.8)
     rho = initial_density(sc)
@@ -202,7 +203,9 @@ def semigroup_property(tol: float = 1e-9) -> CheckResult:
         one = stage_step(rho, stage, 9.0, sc)
         two = stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc)
         worst = max(worst, trace_distance(one, two))
-    return CheckResult("semigroup property", worst < tol, f"worst trace distance {worst:.3e}")
+    return CheckResult(
+        "semigroup property", worst < SEMIGROUP_TOL, f"worst trace distance {worst:.3e}"
+    )
 
 
 def full_checks() -> list[CheckResult]:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavsim import ConfigError, Scenario
+import cavsim
+from cavsim import ConfigError, Scenario, validation
 from cavsim.cli import main, write_records
 from cavsim.config import parse_config, sweep_filename
 from cavsim.evolution import ConcurrenceRecord
@@ -78,6 +83,57 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("just words\n")
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("alpha = nan\n", "alpha", 1),
+            ("phi = 0\nalpha = 1e400\n", "alpha", 2),
+            ("beta = 0.5+nanj\n", "beta", 1),
+            ("n_samples = 3\nsweep_beta = 0.5, inf\n", "sweep_beta", 2),
+        ],
+        ids=["nan", "overflow", "nan_imag", "sweep_inf"],
+    )
+    def test_nonfinite_complex_rejected(self, text, key, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert (err.value.key, err.value.line) == (key, line)
+
+    # (config line, "scenario" or "sweep", field, expected value); every value distinct
+    ROUND_TRIP = [
+        ("omega_a = 5.2e4", "scenario", "omega_a", 5.2e4),
+        ("omega_1 = 0.0075", "scenario", "omega_1", 0.0075),
+        ("omega_2 = 0.008", "scenario", "omega_2", 0.008),
+        ("Omega_1 = 0.03", "scenario", "Omega_1", 0.03),
+        ("Omega_2 = 0.04", "scenario", "Omega_2", 0.04),
+        ("Delta_1 = 0.12", "scenario", "Delta_1", 0.12),
+        ("Delta_2 = 0.2", "scenario", "Delta_2", 0.2),
+        ("omega_tilde_1 = 5.19e4", "scenario", "omega_tilde_1", 5.19e4),
+        ("omega_tilde_2 = 5.18e4", "scenario", "omega_tilde_2", 5.18e4),
+        ("alpha = 0.6-0.1j", "scenario", "alpha", 0.6 - 0.1j),
+        ("beta = 0.9", "scenario", "beta", 0.9),
+        ("phi = 0.25", "scenario", "phi", 0.25),
+        ("ramsey_angle = 0.45", "scenario", "ramsey_angle", 0.45),
+        ("durations = 31, 11, 12, 13, 34", "scenario", "stage_durations", (31, 11, 12, 13, 34)),
+        ("N1 = 16", "scenario", "n1", 16),
+        ("N2 = 17", "scenario", "n2", 17),
+        ("frame = lab", "scenario", "frame", "lab"),
+        ("tail_tol = 1e-9", "scenario", "tail_tol", 1e-9),
+        ("n_samples = 19", "sweep", "n_samples", 19),
+        ("backend = oracle", "sweep", "backend", "oracle"),
+        ("sweep_g = 0, 0.2", "sweep", "g_values", (0.0, 0.2)),
+        ("sweep_q = 0.1", "sweep", "q_values", (0.1,)),
+        ("sweep_alpha = 0.5, 1+1j", "sweep", "alpha_values", (0.5, 1 + 1j)),
+        ("sweep_beta = 2", "sweep", "beta_values", (2.0,)),
+    ]
+
+    @pytest.mark.parametrize("rates", ["g = 0.3\nq = 0.7", "gamma_1 = 0.00225\ngamma_2 = 0.0056"])
+    def test_every_key_reaches_its_field(self, rates):
+        sc, sweep = parse_config("\n".join(row[0] for row in self.ROUND_TRIP) + "\n" + rates)
+        for line, target, field, expected in self.ROUND_TRIP:
+            assert getattr(sc if target == "scenario" else sweep, field) == expected, line
+        # the ratio form: 0.3 * omega_1 and 0.7 * omega_2
+        assert (sc.gamma_1, sc.gamma_2) == pytest.approx((0.00225, 0.0056), rel=1e-12)
+
     def test_sweep_filename_encoding(self):
         assert sweep_filename(0.5, 1.0, 0.05, 0.0) == "a0.5_b1_g0.05_q0.csv"
 
@@ -148,9 +204,12 @@ class TestCliCommands:
         cfg.write_text("n_samples = 3\nbackend = branch\n")
         assert main(["simulate", str(cfg), "--out", str(tmp_path), "--truncation", "14,14"]) == 0
 
-    def test_config_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ["gamma_1 = -4\n", "alpha = nan\n"], ids=["negative_rate", "nonfinite_alpha"]
+    )
+    def test_config_error_exit_code(self, tmp_path, text):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("gamma_1 = -4\n")
+        cfg.write_text(text)
         assert main(["simulate", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_sweep_one_file_per_tuple(self, tmp_path):
@@ -197,6 +256,38 @@ class TestCliCommands:
         cfg.write_text("n_samples = 2\nbackend = branch\nN1 = 12\nN2 = 12\n")
         assert main(["simulate", str(cfg)]) == 0
         assert (tmp_path / "envout" / "run.csv").exists()
+
+
+class TestValidateCommand:
+    def test_quick_suite_passes(self, capsys):
+        assert main(["validate"]) == 0
+        assert "4/4 checks passed" in capsys.readouterr().out
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        failed = validation.CheckResult("stub", False, "forced")
+        monkeypatch.setattr(validation, "quick_checks", lambda: [failed])
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  stub: forced" in out and "0/1 checks passed" in out
+
+    @pytest.mark.parametrize("check", ["frame_invariance", "semigroup_property"])
+    def test_full_suite_invariants_pass(self, check):
+        result = getattr(validation, check)()
+        assert result.passed, result.detail
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_import_pins_one_thread_unless_set(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = str(Path(cavsim.__file__).parents[1])
+        code = "import os, cavsim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == expected
 
 
 class TestConvergencePass:

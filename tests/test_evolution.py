@@ -46,10 +46,10 @@ def embed_field1(rho_field: np.ndarray, n1: int, n2: int, atom_level: int = 0) -
     return DensityMatrix(standard_layout(n1, n2), full)
 
 
-def _mix(terms):
-    from cavsim.evolution import _branch_ramsey_mix
+def _mix(state):
+    from cavsim.evolution import _branch_rotate
 
-    return _branch_ramsey_mix(terms, math.pi / 4)
+    return _branch_rotate(state, math.pi / 4)
 
 
 def _weight_moduli(state):
@@ -268,7 +268,7 @@ class TestBranchBackend:
         # gamma = 0: stage evolution only rotates labels and phases weights
         sc = margin_scenario(alpha=1.0, beta=1.0, g=0.0, q=0.0)
         state = BS.from_scenario(sc)
-        state = BranchState(_mix(state.terms))
+        state = _mix(state)
         before = _weight_moduli(state)
         for stage in (StageKind.CAVITY1, StageKind.FREE1, StageKind.CAVITY2):
             state = branch_step(state, stage, 21.0, sc)
