@@ -79,6 +79,9 @@ _KEYS = {
 
 
 def _parse_number(raw: str, key: str, line: int, kind):
+    """One number of the given kind; spaces are dropped from complex values only."""
+    if kind is complex:
+        raw = raw.replace(" ", "")
     try:
         value = kind(raw)
     except ValueError as exc:
@@ -89,14 +92,12 @@ def _parse_number(raw: str, key: str, line: int, kind):
 
 
 def _parse_value(raw: str, key: str, line: int, kind):
-    """Value of one assignment; spaces are dropped from complex values and sweep lists."""
+    """Value of one assignment of the given kind (see ``_KEYS``)."""
     if kind is str:
         return raw
     if not isinstance(kind, tuple):
-        return _parse_number(raw.replace(" ", "") if kind is complex else raw, key, line, kind)
+        return _parse_number(raw, key, line, kind)
     parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if key.startswith("sweep_"):
-        parts = [p.replace(" ", "") for p in parts]
     return tuple(_parse_number(p, key, line, kind[0]) for p in parts)
 
 

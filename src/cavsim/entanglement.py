@@ -31,6 +31,7 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 
 SUPPORT_TOL = 1e-10
 FLAG_WEIGHT = 1e-3
+PURITY_TOL = 1e-6  # impurity up to which monogamy_residual treats a state as pure
 
 _PAIRS = (("AF1", (0, 1)), ("AF2", (0, 2)), ("F1F2", (1, 2)))
 
@@ -40,7 +41,6 @@ class EffectiveQubitReduction:
     """A two-subsystem state projected onto effective qubit supports."""
 
     two_qubit_state: np.ndarray
-    support_bases: tuple
     discarded_weight: float
     support_deficient: bool
 
@@ -65,35 +65,33 @@ def _wootters_stack(mats: np.ndarray) -> np.ndarray:
     return _positive_part(lams[:, 0] - lams[:, 1] - lams[:, 2] - lams[:, 3])
 
 
-def _effective_two_qubit_stack(pairs: np.ndarray, dims: tuple[int, int], tol: float):
+def _effective_two_qubit_stack(pairs: np.ndarray, dims: tuple[int, int]):
     """Stacked :func:`effective_two_qubit` of (S, da db, da db) pair states of layout ``dims``.
 
-    Returns the (S, 4, 4) projected states, the per-subsystem isometries
-    ((S, d, 2) stacks, None for a qubit), and the (S,) discarded weights and
+    Returns the (S, 4, 4) projected states and the (S,) discarded weights and
     support-deficiency flags.
     """
     isometries = []
     deficient = np.zeros(len(pairs), dtype=bool)
     for i, d in enumerate(dims):
         if d == 2:
-            isometries.append(None)
+            isometries.append(np.eye(2))
             continue
         evals, evecs = np.linalg.eigh(partial_trace_stack(pairs, dims, (i,)))
-        deficient |= evals[:, -2] < tol
+        deficient |= evals[:, -2] < SUPPORT_TOL
         isometries.append(evecs[:, :, [-1, -2]])
-    va, vb = (np.eye(2) if iso is None else iso for iso in isometries)
-    v = _kron(va, vb)
+    v = _kron(*isometries)
     small = np.swapaxes(v.conj(), -1, -2) @ pairs @ v
     kept = np.trace(small, axis1=1, axis2=2).real
     discarded = _positive_part(1.0 - kept)
     # nothing left on the product support: report a maximally mixed stub
-    stub = kept <= tol
+    stub = kept <= SUPPORT_TOL
     small = small / np.where(stub, 1.0, kept)[:, None, None]
     small[stub] = np.eye(4) / 4.0
     deficient |= stub
     for weight in discarded[~stub & (SUPPORT_TOL < discarded) & (discarded < FLAG_WEIGHT)]:
         log.warning("effective_two_qubit discarded weight %.3e", weight)
-    return small, isometries, discarded, deficient
+    return small, discarded, deficient
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ def pairwise_concurrence_stack(
     flags: list[list[str]] = [[] for _ in range(len(data))]
     for name, keep in _PAIRS:
         pair_dims = (dims[keep[0]], dims[keep[1]])
-        small, _, discarded, _ = _effective_two_qubit_stack(
-            partial_trace_stack(data, dims, keep), pair_dims, SUPPORT_TOL
+        small, discarded, _ = _effective_two_qubit_stack(
+            partial_trace_stack(data, dims, keep), pair_dims
         )
         values.append(_wootters_stack(small).tolist())
         worst = np.where(discarded > worst, discarded, worst)
@@ -146,23 +144,20 @@ def wootters_concurrence(rho) -> float:
     return float(_wootters_stack(mat[None])[0])
 
 
-def effective_two_qubit(rho_pair: DensityMatrix, tol: float = SUPPORT_TOL) -> EffectiveQubitReduction:
+def effective_two_qubit(rho_pair: DensityMatrix) -> EffectiveQubitReduction:
     """Project a two-subsystem state onto the product of rank-2 supports.
 
     Each subsystem of dimension > 2 is restricted to the span of the top-2
     eigenvectors of its single-party reduction (deterministic eigensolver
     ordering breaks ties; concurrence is basis-independent within the support).
-    A subsystem whose reduction has rank < 2 within ``tol`` is padded with the
-    eigensolver's next basis vector, which leaves the concurrence at zero.
+    A subsystem whose reduction has rank < 2 within ``SUPPORT_TOL`` is padded
+    with the eigensolver's next basis vector, which leaves the concurrence at zero.
     """
     dims = rho_pair.layout.dims
     if len(dims) != 2:
         raise ValueError("effective_two_qubit expects a two-subsystem state")
-    small, isometries, discarded, deficient = _effective_two_qubit_stack(
-        rho_pair.data[None], dims, tol
-    )
-    bases = tuple(None if iso is None else iso[0] for iso in isometries)
-    return EffectiveQubitReduction(small[0], bases, float(discarded[0]), bool(deficient[0]))
+    small, discarded, deficient = _effective_two_qubit_stack(rho_pair.data[None], dims)
+    return EffectiveQubitReduction(small[0], float(discarded[0]), bool(deficient[0]))
 
 
 def pairwise_concurrences(rho: DensityMatrix) -> PairwiseConcurrences:
@@ -170,13 +165,13 @@ def pairwise_concurrences(rho: DensityMatrix) -> PairwiseConcurrences:
     return pairwise_concurrence_stack(rho.data[None], rho.layout.dims)[0]
 
 
-def monogamy_residual(rho: DensityMatrix, purity_tol: float = 1e-6) -> float | None:
+def monogamy_residual(rho: DensityMatrix) -> float | None:
     """CKW residual tau_A - C_AF1^2 - C_AF2^2 for globally pure states.
 
     Returns None (not applicable) when the global state is mixed beyond
-    ``purity_tol``; the tangle is tau_A = 4 det(rho_atom).
+    ``PURITY_TOL``; the tangle is tau_A = 4 det(rho_atom).
     """
-    if rho.purity() <= 1.0 - purity_tol:
+    if rho.purity() <= 1.0 - PURITY_TOL:
         return None
     rho_atom = partial_trace(rho, (0,)).data
     tangle = 4.0 * float(np.linalg.det(rho_atom).real)

@@ -22,7 +22,9 @@ Two equivalent backends are provided: a dense matrix backend
 (:func:`branch_run`).  Branch records never densify: each snapshot is
 compressed onto the orthonormalized span of its coherent labels
 (:func:`branch_compress`), so the Fock cutoffs N1/N2 only affect
-:meth:`Trajectory.dense_state`.
+:meth:`Trajectory.dense_state`.  Densify and compress share one product
+(:func:`_compress_stack`): the sum of w |a, x, y><b, x', y'| over the terms,
+with the field labels in Fock coordinates or in label-isometry coordinates.
 
 Both backends run through one closed-form driver (:func:`_closed_form_run`):
 it steps every sample from its stage-start state and dresses lab snapshots
@@ -109,6 +111,9 @@ class Scenario:
     tail_tol: float = 1e-10
 
     def validate(self) -> "Scenario":
+        for name, value in vars(self).items():
+            if not isinstance(value, (str, type(None))) and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite", key=name)
         if self.gamma_1 < 0 or self.gamma_2 < 0:
             raise ConfigError("decay rates must be non-negative", key="gamma")
         if len(self.stage_durations) != 5:
@@ -172,10 +177,12 @@ class Scenario:
         return dataclasses.replace(self, **changes)
 
 
+VALIDITY_THRESHOLD = 2.0  # smallest |Delta| / (Omega sqrt(nbar + 1)) without a warning
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     ratios: tuple[float, float]
-    threshold: float
     messages: tuple[str, ...]
 
     @property
@@ -183,11 +190,11 @@ class ValidityReport:
         return not self.messages
 
 
-def dispersive_validity(scenario: Scenario, threshold: float = 2.0) -> ValidityReport:
+def dispersive_validity(scenario: Scenario) -> ValidityReport:
     """Check |Delta| >> Omega sqrt(nbar + 1) for both cavities.
 
     Emits a UserWarning (never an error) for each cavity whose ratio
-    ``|Delta| / (Omega sqrt(nbar + 1))`` falls below the threshold.
+    ``|Delta| / (Omega sqrt(nbar + 1))`` falls below ``VALIDITY_THRESHOLD``.
     """
     ratios = []
     messages = []
@@ -201,14 +208,14 @@ def dispersive_validity(scenario: Scenario, threshold: float = 2.0) -> ValidityR
             raise ConfigError("detuning required for the validity check", key=f"Delta_{i}")
         r = abs(delta) / (abs(big_omega) * math.sqrt(abs(amp) ** 2 + 1.0))
         ratios.append(r)
-        if r < threshold:
+        if r < VALIDITY_THRESHOLD:
             msg = (
-                f"cavity {i}: |Delta|/(Omega sqrt(nbar+1)) = {r:.3g} < {threshold:.3g}; "
+                f"cavity {i}: |Delta|/(Omega sqrt(nbar+1)) = {r:.3g} < {VALIDITY_THRESHOLD:.3g}; "
                 "the dispersive description is marginal"
             )
             messages.append(msg)
             warnings.warn(msg)
-    return ValidityReport(tuple(ratios), threshold, tuple(messages))
+    return ValidityReport(tuple(ratios), tuple(messages))
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +351,18 @@ def dissipative_map(
     return DensityMatrix(rho.layout, data)
 
 
+def _free_phases(scenario: Scenario, t: float):
+    """Free phases at elapsed time t: ((|e>, |g>) phases, field-1 and field-2 label factors)."""
+    atom = (np.exp(-0.5j * scenario.omega_a * t), np.exp(0.5j * scenario.omega_a * t))
+    return atom, np.exp(-1j * scenario.omega_tilde(1) * t), np.exp(-1j * scenario.omega_tilde(2) * t)
+
+
 def _dress(rho: DensityMatrix, scenario: Scenario, t: float) -> DensityMatrix:
     """Free-Hamiltonian phases at elapsed time t on a rotating-frame DensityMatrix."""
-    d1, d2 = rho.layout.dims[1], rho.layout.dims[2]
-    atom = np.array([np.exp(-0.5j * scenario.omega_a * t), np.exp(0.5j * scenario.omega_a * t)])
-    f1 = _phase_powers(np.exp(-1j * scenario.omega_tilde(1) * t), d1)
-    f2 = _phase_powers(np.exp(-1j * scenario.omega_tilde(2) * t), d2)
-    ph = (atom[:, None, None] * f1[None, :, None] * f2[None, None, :]).reshape(-1)
+    atom, q1, q2 = _free_phases(scenario, t)
+    f1 = _phase_powers(q1, rho.layout.dims[1])
+    f2 = _phase_powers(q2, rho.layout.dims[2])
+    ph = (np.array(atom)[:, None, None] * f1[None, :, None] * f2[None, None, :]).reshape(-1)
     data = rho.data * ph[:, None]
     data *= ph.conj()[None, :]
     return DensityMatrix(rho.layout, data)
@@ -477,8 +489,8 @@ def _traverse(plan, sample_times, state, advance, rotate, ramsey_angle: float):
     """Walk a stage plan and return (sample times, snapshots at those times).
 
     ``plan`` is a sequence of (StageKind, duration) pairs.  The sample times
-    must be non-empty, sorted and inside the plan's span; a sample on a stage
-    boundary belongs to the earlier stage.  For each stage,
+    must be non-empty, finite, sorted and inside the plan's span; a sample on a
+    stage boundary belongs to the earlier stage.  For each stage,
     ``advance(state, stage, taus)`` receives the stage-start state and the
     elapsed times of the stage's samples followed by the stage duration, and
     returns one state per entry; the last one starts the next stage.  A
@@ -488,6 +500,8 @@ def _traverse(plan, sample_times, state, advance, rotate, ramsey_angle: float):
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if times.size == 0:
         raise ValueError("sample grid is empty")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be finite")
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be sorted")
     bounds = np.concatenate([[0.0], np.cumsum([duration for _, duration in plan])])
@@ -644,27 +658,13 @@ def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenari
 
 def branch_densify(bs: BranchState, scenario: Scenario) -> DensityMatrix:
     """Materialize a BranchState as a dense DensityMatrix at the scenario truncations."""
-    n1, n2 = scenario.truncations()
-    layout = standard_layout(n1, n2)
-    cache: dict = {}
-
-    def vec(label: complex, n: int, which: int) -> np.ndarray:
-        key = (which, label)
-        if key not in cache:
-            cache[key] = coherent_vector(label, n, scenario.tail_tol)
-        return cache[key]
-
-    rest = (n1 + 1) * (n2 + 1)
-    out = np.zeros((2, rest, 2, rest), dtype=complex)
-    for (s, sp), lst in bs.terms.items():
-        if not lst:
-            continue
-        # one product (F_u diag(w)) F_v^dag over the dyads of the block
-        w, u1, v1, u2, v2 = (list(col) for col in zip(*lst))
-        fu = np.stack([np.kron(vec(a, n1, 1), vec(b, n2, 2)) for a, b in zip(u1, u2)], axis=1)
-        fv = np.stack([np.kron(vec(a, n1, 1), vec(b, n2, 2)) for a, b in zip(v1, v2)], axis=1)
-        out[s, :, sp, :] = (fu * np.array(w)) @ fv.conj().T
-    return DensityMatrix(layout, out.reshape(layout.dim, layout.dim))
+    key, weights, labels1, labels2 = _term_structure(bs)
+    coords = (
+        np.stack([coherent_vector(lab, n, scenario.tail_tol) for lab in labels], axis=1)[None]
+        for labels, n in zip((labels1, labels2), scenario.truncations())
+    )
+    layout, stack = _compress_stack(key, [weights], *coords)
+    return DensityMatrix(layout, stack[0])
 
 
 def _label_isometries(label_sets: list) -> np.ndarray:
@@ -704,29 +704,31 @@ def _term_structure(bs: BranchState):
     return (atom_u, atom_v, len(index1), len(index2), pattern), w, list(index1), list(index2)
 
 
-def _compress_stack(key, members) -> tuple[SubsystemLayout, np.ndarray]:
-    """(layout, (S, D, D) stack) of the BranchStates of one term structure.
+def _compress_stack(key, weights, coords1, coords2) -> tuple[SubsystemLayout, np.ndarray]:
+    """(layout, (S, D, D) stack) of S BranchStates of one term structure.
 
-    ``members`` holds the (weights, labels 1, labels 2) of each state.
+    Each state is the sum of w |a, x, y><b, x', y'| over its terms, one product
+    per atomic dyad block.  Column j of ``coords1[s]`` (``coords2[s]``) holds the
+    coordinates of field-1 (field-2) label j of state s: label isometries for
+    records, Fock amplitudes for :func:`branch_densify`.
     """
     atom_u, atom_v, _, _, (iu1, iv1, iu2, iv2) = key
-    weights, labels1, labels2 = zip(*members)
-    iso1, iso2 = _label_isometries(labels1), _label_isometries(labels2)
-    count, r1, r2 = len(members), iso1.shape[1], iso2.shape[1]
-    terms = np.arange(len(atom_u))
-
-    def side(atom, idx1, idx2):
-        # |atom> (x) |lab1> (x) |lab2> in label coordinates, one row per term
-        vec = np.zeros((count, len(terms), 2, r1, r2), dtype=complex)
-        c1 = iso1[:, :, list(idx1)].transpose(0, 2, 1)
-        c2 = iso2[:, :, list(idx2)].transpose(0, 2, 1)
-        vec[:, terms, list(atom)] = c1[:, :, :, None] * c2[:, :, None, :]
-        return vec.reshape(count, len(terms), -1)
-
-    left, right = side(atom_u, iu1, iu2), side(atom_v, iv1, iv2)
+    count, r1, r2 = len(weights), coords1.shape[1], coords2.shape[1]
     w = np.array(weights, dtype=complex)
-    data = (left.transpose(0, 2, 1) * w[:, None, :]) @ right.conj()
-    return SubsystemLayout((2, r1, r2), ("atom", "field1", "field2")), data
+
+    def fields(idx1, idx2):
+        # |lab1> (x) |lab2> in the given coordinates, (S, terms, r1 r2)
+        c1 = coords1[:, :, list(idx1)].transpose(0, 2, 1)
+        c2 = coords2[:, :, list(idx2)].transpose(0, 2, 1)
+        return (c1[:, :, :, None] * c2[:, :, None, :]).reshape(count, len(idx1), -1)
+
+    left, right = fields(iu1, iu2), fields(iv1, iv2)
+    data = np.zeros((count, 2, r1 * r2, 2, r1 * r2), dtype=complex)
+    for dyad in set(zip(atom_u, atom_v)):
+        ks = [k for k, term_dyad in enumerate(zip(atom_u, atom_v)) if term_dyad == dyad]
+        block = (left[:, ks].transpose(0, 2, 1) * w[:, None, ks]) @ right[:, ks].conj()
+        data[:, dyad[0], :, dyad[1], :] = block
+    return standard_layout(r1 - 1, r2 - 1), data.reshape(count, 2 * r1 * r2, -1)
 
 
 def _compressed_groups(states: list, indices: list):
@@ -734,10 +736,11 @@ def _compressed_groups(states: list, indices: list):
     groups: dict = {}
     for i in indices:
         key, *member = _term_structure(states[i])
-        groups.setdefault(key, []).append((i, member))
+        groups.setdefault(key, []).append((i, *member))
     for key, entries in groups.items():
-        layout, stack = _compress_stack(key, [member for _, member in entries])
-        yield layout, stack, [i for i, _ in entries]
+        snapshots, weights, labels1, labels2 = zip(*entries)
+        isometries = _label_isometries(labels1), _label_isometries(labels2)
+        yield *_compress_stack(key, weights, *isometries), list(snapshots)
 
 
 def branch_compress(bs: BranchState) -> DensityMatrix:
@@ -750,16 +753,13 @@ def branch_compress(bs: BranchState) -> DensityMatrix:
     It is the stack-of-one case of the grouped compression behind
     :meth:`Trajectory.records`.
     """
-    key, *member = _term_structure(bs)
-    layout, stack = _compress_stack(key, [member])
+    layout, stack, _ = next(_compressed_groups([bs], [0]))
     return DensityMatrix(layout, stack[0])
 
 
 def _branch_dress(bs: BranchState, scenario: Scenario, t: float) -> BranchState:
     """Free-phase dressing of a rotating-frame BranchState at elapsed time t."""
-    q1 = np.exp(-1j * scenario.omega_tilde(1) * t)
-    q2 = np.exp(-1j * scenario.omega_tilde(2) * t)
-    atom = (np.exp(-0.5j * scenario.omega_a * t), np.exp(0.5j * scenario.omega_a * t))
+    atom, q1, q2 = _free_phases(scenario, t)
     terms = {}
     for (s, sp), lst in bs.terms.items():
         phase = atom[s] * np.conj(atom[sp])

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,7 +111,7 @@ class DensityMatrix:
         # Tr rho^2 = ||rho||_F^2 for Hermitian rho
         return float(np.vdot(self.data, self.data).real)
 
-    def validate(self, check_positivity: bool = False, positivity_tol: float = POSITIVITY_TOL):
+    def validate(self, check_positivity: bool = False):
         """Check the physicality invariants, raising :class:`NonPhysicalState`.
 
         The positivity check costs a full eigendecomposition and is opt-in.
@@ -123,7 +124,7 @@ class DensityMatrix:
             raise NonPhysicalState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         if check_positivity:
             lam_min = float(np.linalg.eigvalsh(self.data)[0])
-            if lam_min < positivity_tol:
+            if lam_min < POSITIVITY_TOL:
                 raise NonPhysicalState(f"negative eigenvalue {lam_min:.3e}")
         return self
 
@@ -145,15 +146,10 @@ def coherent_vector(amplitude: complex, truncation: int, tail_tol: float = 1e-10
     return c / math.sqrt(kept)
 
 
-def coherent_state(
-    amplitude: complex,
-    truncation: int,
-    tail_tol: float = 1e-10,
-    label: str = "field",
-) -> PureState:
+def coherent_state(amplitude: complex, truncation: int, label: str = "field") -> PureState:
     """Truncated coherent state ``|amplitude>`` on a single mode."""
     layout = SubsystemLayout((truncation + 1,), (label,))
-    return PureState(layout, coherent_vector(amplitude, truncation, tail_tol))
+    return PureState(layout, coherent_vector(amplitude, truncation))
 
 
 def coherent_overlap(a: complex, b: complex) -> complex:
@@ -171,22 +167,11 @@ def tensor_product(factors):
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    if all(isinstance(f, PureState) for f in factors):
-        vec = factors[0].amplitudes
-        for f in factors[1:]:
-            vec = np.kron(vec, f.amplitudes)
-        layout = _concat_layouts([f.layout for f in factors])
-        return PureState(layout, vec)
-    if all(isinstance(f, DensityMatrix) for f in factors):
-        mat = factors[0].data
-        for f in factors[1:]:
-            mat = np.kron(mat, f.data)
-        layout = _concat_layouts([f.layout for f in factors])
-        return DensityMatrix(layout, mat)
-    mat = np.asarray(factors[0])
-    for f in factors[1:]:
-        mat = np.kron(mat, np.asarray(f))
-    return mat
+    for kind, attr in ((PureState, "amplitudes"), (DensityMatrix, "data")):
+        if all(isinstance(f, kind) for f in factors):
+            layout = _concat_layouts([f.layout for f in factors])
+            return kind(layout, functools.reduce(np.kron, [getattr(f, attr) for f in factors]))
+    return functools.reduce(np.kron, [np.asarray(f) for f in factors])
 
 
 def _concat_layouts(layouts):

@@ -58,28 +58,20 @@ class _StageGenerator:
         self.loss_diag = (
             self.gamma_1 * n1[None, :, None] + self.gamma_2 * n2[None, None, :]
         ) * np.ones((2, 1, 1))
-        w1k, w2k = scenario.omega_active(stage)
-        if w1k or w2k:
-            # dispersive diagonal: +w(n+1) on |e>, -w n on |g>
-            h = np.zeros((2, d1, d2))
-            if w1k:
-                h[0] += w1k * (n1[:, None] + 1.0)
-                h[1] += -w1k * n1[:, None]
-            if w2k:
-                h[0] += w2k * (n2[None, :] + 1.0)
-                h[1] += -w2k * n2[None, :]
-            self.hdiag = h.reshape(-1)
-        else:
-            self.hdiag = None
+        # dispersive diagonal: +w(n+1) on |e>, -w n on |g>
+        omegas = scenario.omega_active(stage)
+        h = np.zeros((2, d1, d2))
+        for omega, n in zip(omegas, (n1[:, None], n2[None, :])):
+            h[0] += omega * (n + 1.0)
+            h[1] -= omega * n
+        # -i h on the row index and +i h on the column index of rho; None without a cavity
+        self.h_row = (-1j * h).reshape(2, d1, d2, 1, 1, 1) if any(omegas) else None
+        self.h_col = (+1j * h).reshape(2, d1, d2) if any(omegas) else None
         if stage is StageKind.RAMSEY:
             duration = scenario.stage_durations[2]
             self.ramsey_rate = scenario.ramsey_angle / duration if duration > 0 else 0.0
         else:
             self.ramsey_rate = 0.0
-        # -i h on the row index and +i h on the column index of rho
-        if self.hdiag is not None:
-            self.h_row = (-1j * self.hdiag).reshape(2, d1, d2, 1, 1, 1)
-            self.h_col = (+1j * self.hdiag).reshape(2, d1, d2)
         # jump factors sqrt(n m) on the shifted Fock indices
         self.sqsq1 = np.einsum("i,j->ij", self.sq1, self.sq1)[:, None, None, :, None]
         self.sqsq2 = np.einsum("i,j->ij", self.sq2, self.sq2)[:, None, None, :]
@@ -105,7 +97,7 @@ class _StageGenerator:
         """
         o, x = out[s, a:b], t[s, a:b]
         # -i [H, rho]
-        if self.hdiag is not None:
+        if self.h_row is not None:
             o += np.multiply(self.h_row[s, a:b], x, out=buf)
             o += np.multiply(self.h_col, x, out=buf)
         if self.ramsey_rate:
@@ -199,9 +191,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate through a stage plan of (StageKind, duration) pairs, sampling at the grid.
 
-    The grid must be non-empty, sorted and inside the plan's span.  A sample on
-    a stage boundary belongs to the earlier stage, and a zero-duration Ramsey
-    entry applies the instantaneous full-area rotation.
+    The grid must be non-empty, finite, sorted and inside the plan's span.  A
+    sample on a stage boundary belongs to the earlier stage, and a zero-duration
+    Ramsey entry applies the instantaneous full-area rotation.
     """
 
     def advance(rho, stage, taus):

@@ -28,17 +28,14 @@ class PresetJob:
     mode: str  # "analytic" | "branch" | "phase-space"
 
 
-def _single_cavity(scenario: Scenario, t1: float = 1000.0) -> Scenario:
-    return scenario.variant(stage_durations=(t1, 0.0, 0.0, 0.0, 0.0))
+def _single_cavity(scenario: Scenario) -> Scenario:
+    return scenario.variant(stage_durations=(1000.0, 0.0, 0.0, 0.0, 0.0))
 
 
-def preset_jobs(name: str, base: Scenario | None = None) -> list[PresetJob]:
-    base = base if base is not None else Scenario()
+def preset_jobs(name: str) -> list[PresetJob]:
+    base = Scenario()
     if name == "full":
-        jobs = []
-        for sub in ("fig2", "fig4", "fig5", "fig6", "fig7"):
-            jobs.extend(preset_jobs(sub, base))
-        return jobs
+        return [job for sub in PRESET_NAMES if sub != "full" for job in preset_jobs(sub)]
     if name == "fig2":
         grid = np.linspace(0.0, 1000.0, 501)
         jobs = [

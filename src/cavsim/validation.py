@@ -52,13 +52,17 @@ def _record_gap(recs_a, recs_b, fields) -> float:
     return max(abs(getattr(a, f) - getattr(b, f)) for a, b in zip(recs_a, recs_b) for f in fields)
 
 
-def _stage1_scenario(alpha, g, t1: float = 1000.0) -> Scenario:
-    sc = Scenario().variant(g=g, q=0.0, alpha=alpha)
+def _with_margin(sc: Scenario) -> Scenario:
+    """sc with both Fock cutoffs CERT_MARGIN above the default rule."""
     return sc.variant(
-        stage_durations=(t1, 0.0, 0.0, 0.0, 0.0),
-        n1=default_truncation(alpha) + CERT_MARGIN,
+        n1=default_truncation(sc.alpha) + CERT_MARGIN,
         n2=default_truncation(sc.beta) + CERT_MARGIN,
     )
+
+
+def _stage1_scenario(alpha, g, t1: float = 1000.0) -> Scenario:
+    sc = Scenario().variant(g=g, q=0.0, alpha=alpha)
+    return _with_margin(sc.variant(stage_durations=(t1, 0.0, 0.0, 0.0, 0.0)))
 
 
 def stage1_equivalence(alphas, gs, times) -> list[CheckResult]:
@@ -135,12 +139,7 @@ def branch_certification() -> CheckResult:
     t0 = time.perf_counter()
     for alpha in CERT_AMPLITUDES:
         for beta in CERT_AMPLITUDES:
-            sc = Scenario().variant(
-                alpha=alpha,
-                beta=beta,
-                n1=default_truncation(alpha) + CERT_MARGIN,
-                n2=default_truncation(beta) + CERT_MARGIN,
-            )
+            sc = _with_margin(Scenario().variant(alpha=alpha, beta=beta))
             times = np.linspace(0.0, sc.total_time(), CERT_TIMES)
             for g in CERT_GRID:
                 for q in CERT_GRID:

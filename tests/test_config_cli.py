@@ -79,6 +79,13 @@ class TestParseConfig:
         assert sweep.g_values == (0.0, 0.05, 0.5, 1.0)
         assert sweep.alpha_values == (0.5, 1.0, 2.0)
 
+    def test_inner_spaces_only_dropped_from_complex_values(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("sweep_g = 1 0\n")
+        assert (err.value.key, err.value.line) == ("sweep_g", 1)
+        _, sweep = parse_config("sweep_alpha = 0.5 + 0.1j, 1\n")
+        assert sweep.alpha_values == (0.5 + 0.1j, 1.0)
+
     def test_bad_syntax(self):
         with pytest.raises(ConfigError):
             parse_config("just words\n")

@@ -23,6 +23,7 @@ from cavsim import (
     pairwise_concurrences,
     ramsey_unitary,
     rho_stage1,
+    run_oracle,
     run_scenario,
     stage_step,
     standard_layout,
@@ -32,6 +33,7 @@ from cavsim.analytic import coherence_factor
 from cavsim.evolution import BranchState as BS
 from cavsim.evolution import _term_structure, branch_compress, branch_densify, branch_step
 from cavsim.hilbert import coherent_overlap, coherent_vector
+from cavsim.validation import FRAME_TOL
 
 from conftest import margin_scenario, random_density, stage1_scenario
 
@@ -226,6 +228,9 @@ class TestRunScenario:
             run_scenario(sc, [10.0, 5.0])
         with pytest.raises(ValueError):
             run_scenario(sc, [sc.total_time() + 1.0])
+        # NaN compares false with every bound, so it must be rejected explicitly
+        with pytest.raises(ValueError, match="finite"):
+            run_scenario(sc, [0.0, math.nan, 50.0])
 
     def test_instantaneous_ramsey_at_zero_duration(self):
         full = Scenario().variant(alpha=0.5, beta=0.5, stage_durations=(30.0, 10.0, 10.0, 10.0, 30.0))
@@ -278,6 +283,13 @@ class TestBranchBackend:
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.05, q=0.05)
         traj = branch_run(sc, [sc.total_time()])
         assert traj.states[0].branch_count() <= 4
+
+    def test_sample_grid_validation(self):
+        sc = Scenario()
+        with pytest.raises(ValueError, match="finite"):
+            branch_run(sc, [0.0, math.nan])
+        with pytest.raises(ValueError, match="finite"):
+            branch_run(sc, [0.0, math.inf])
 
     def test_rejects_foreign_initial_state(self):
         sc = Scenario()
@@ -434,6 +446,30 @@ class TestTraversal:
         assert _record_gap(branch, dense) < 1e-9
 
 
+class TestRandomScenarios:
+    """Invariants on random scenarios, not only on the hand-picked grid."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        durations=st.tuples(*[st.just(0.0) | st.floats(0.5, 40.0)] * 5),
+        g=st.floats(0.0, 1.0),
+        q=st.floats(0.0, 1.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        alpha=st.floats(0.0, 1.0),
+        beta=st.complex_numbers(max_magnitude=1.0),
+    )
+    def test_snapshots_physical_and_frame_invariant(self, durations, g, q, phi, alpha, beta):
+        sc = Scenario().variant(
+            g=g, q=q, phi=phi, alpha=alpha, beta=beta, stage_durations=durations
+        )
+        times = sc.stage_times()
+        rot = run_scenario(sc, times)
+        lab = run_scenario(sc.variant(frame="lab"), times)
+        for state in rot.states + lab.states:
+            state.validate()
+        assert _record_gap(rot.records(), lab.records()) < FRAME_TOL
+
+
 class TestFrames:
     def test_concurrences_frame_invariant(self):
         sc = margin_scenario(alpha=1.0, beta=0.5, g=0.05, q=0.5, extra=5)
@@ -478,6 +514,22 @@ class TestDispersiveValidity:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"alpha": math.nan}, "alpha"),
+            ({"beta": complex(math.inf, 0.0)}, "beta"),
+            ({"gamma_1": math.nan}, "gamma_1"),
+            ({"stage_durations": (30.0, math.nan, 10.0, 10.0, 30.0)}, "stage_durations"),
+        ],
+        ids=["alpha_nan", "beta_inf", "gamma_1_nan", "duration_nan"],
+    )
+    @pytest.mark.parametrize("backend", [run_scenario, branch_run, run_oracle])
+    def test_nonfinite_value_rejected(self, change, key, backend):
+        with pytest.raises(ConfigError) as err:
+            backend(Scenario().variant(**change), [0.0])
+        assert err.value.key == key
+
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
             Scenario().variant(gamma_1=-1.0).validate()

@@ -144,6 +144,10 @@ class TestIntegrate:
             integrate(rho0, [(StageKind.FREE1, 5.0)], [6.0], sc)
         with pytest.raises(ValueError):
             integrate(rho0, [(StageKind.FREE1, 5.0)], [], sc)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(rho0, [(StageKind.FREE1, 5.0)], [0.0, math.nan], sc)
+        with pytest.raises(ValueError, match="finite"):
+            run_oracle(sc, [0.0, math.nan])
 
 
 class TestOracleVsDense:
