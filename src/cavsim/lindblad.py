@@ -2,10 +2,22 @@
 
 Integrates d rho/dt = -i [H, rho] + sum_i gamma_i (2 a_i rho a_i^dag
 - a_i^dag a_i rho - rho a_i^dag a_i) in the truncated basis with a classic
-4th-order Runge-Kutta step and step-halving error control.  The integration
-always runs in the rotating frame (the lab-frame free Hamiltonian would demand
-steps about nine orders of magnitude smaller); cross-frame comparisons are done
-on concurrences, never on raw states.
+4th-order Runge-Kutta step.  The integration always runs in the rotating frame
+(the lab-frame free Hamiltonian would demand steps about nine orders of
+magnitude smaller); cross-frame comparisons are done on concurrences, never on
+raw states.
+
+Per stage, every diagonal term of the generator (the dispersive commutator and
+the -gamma (n rho + rho n) loss) is one precomputed D x D factor, so an apply is
+that elementwise product, the two shifted jump slices a rho a^dag (with 2 gamma
+folded into their sqrt(n m) factors) and, in the Ramsey zone, one atomic swap.
+
+Error control is step doubling: an attempt is one full step and two half steps
+(three ``_rk4`` calls sharing k1), accepted when max|full - halves| <= abs_tol.
+After every attempt the next step is the attempted one times
+min(MAX_FACTOR, max(MIN_FACTOR, SAFETY (abs_tol / err)^(1/5))) (Hairer, Norsett
+& Wanner, Solving ODEs I, II.4).  One pass runs through all samples of a stage,
+so the step size carries over from one sample to the next.
 """
 
 from __future__ import annotations
@@ -28,8 +40,10 @@ from .exceptions import StepUnderflow
 from .hilbert import HERMITICITY_TOL
 
 MIN_STEP = 1e-9
+SAFETY = 0.9  # step controller factors, see the module docstring
+MIN_FACTOR = 0.2
+MAX_FACTOR = 4.0
 DRIFT_LIMIT = 1e-8
-APPLY_BLOCK = 1 << 15  # complex entries per block of generator rows
 
 
 @dataclass(frozen=True)
@@ -39,7 +53,8 @@ class IntegratorConfig:
     max_step: float = 2.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.initial_step <= 0 or self.max_step <= 0:
+        # written so that NaN fails too; abs_tol = inf (fixed steps) stays legal
+        if not (self.abs_tol > 0 and self.initial_step > 0 and self.max_step > 0):
             raise ValueError("integrator tolerances and steps must be positive")
 
 
@@ -48,78 +63,42 @@ class _StageGenerator:
 
     def __init__(self, scenario: Scenario, stage: StageKind, dims: tuple[int, ...]):
         d1, d2 = dims[1], dims[2]
-        self.d1, self.d2 = d1, d2
-        self.gamma_1, self.gamma_2 = scenario.gamma_1, scenario.gamma_2
-        self.sq1 = np.sqrt(np.arange(1, d1))
-        self.sq2 = np.sqrt(np.arange(1, d2))
-        n1 = np.arange(d1, dtype=float)
-        n2 = np.arange(d2, dtype=float)
-        # total loss-rate diagonal gamma_1 n1 + gamma_2 n2 over (atom, f1, f2)
-        self.loss_diag = (
-            self.gamma_1 * n1[None, :, None] + self.gamma_2 * n2[None, None, :]
-        ) * np.ones((2, 1, 1))
+        self.shape = (2, d1, d2, 2, d1, d2)
+        n1 = np.arange(d1, dtype=float)[:, None]
+        n2 = np.arange(d2, dtype=float)[None, :]
         # dispersive diagonal: +w(n+1) on |e>, -w n on |g>
-        omegas = scenario.omega_active(stage)
         h = np.zeros((2, d1, d2))
-        for omega, n in zip(omegas, (n1[:, None], n2[None, :])):
+        for omega, n in zip(scenario.omega_active(stage), (n1, n2)):
             h[0] += omega * (n + 1.0)
             h[1] -= omega * n
-        # -i h on the row index and +i h on the column index of rho; None without a cavity
-        self.h_row = (-1j * h).reshape(2, d1, d2, 1, 1, 1) if any(omegas) else None
-        self.h_col = (+1j * h).reshape(2, d1, d2) if any(omegas) else None
-        if stage is StageKind.RAMSEY:
-            duration = scenario.stage_durations[2]
-            self.ramsey_rate = scenario.ramsey_angle / duration if duration > 0 else 0.0
-        else:
-            self.ramsey_rate = 0.0
-        # jump factors sqrt(n m) on the shifted Fock indices
-        self.sqsq1 = np.einsum("i,j->ij", self.sq1, self.sq1)[:, None, None, :, None]
-        self.sqsq2 = np.einsum("i,j->ij", self.sq2, self.sq2)[:, None, None, :]
-        # rows of n1 per block: a block and its scratch stay cache-sized
-        self.rows = min(d1, max(1, APPLY_BLOCK // (2 * d1 * d2 * d2)))
+        h = h.ravel()
+        # loss-rate diagonal gamma_1 n1 + gamma_2 n2 over (atom, f1, f2)
+        loss = np.broadcast_to(scenario.gamma_1 * n1 + scenario.gamma_2 * n2, (2, d1, d2)).ravel()
+        # -i (h_row - h_col) - (loss_row + loss_col): every diagonal term in one factor
+        self.diag = -1j * (h[:, None] - h[None, :]) - (loss[:, None] + loss[None, :])
+        # 2 gamma sqrt(n m) on the shifted Fock indices of a rho a^dag; None without loss
+        sq1, sq2 = np.sqrt(np.arange(1, d1)), np.sqrt(np.arange(1, d2))
+        jump1 = 2.0 * scenario.gamma_1 * np.multiply.outer(sq1, sq1)
+        jump2 = 2.0 * scenario.gamma_2 * np.multiply.outer(sq2, sq2)
+        self.jump1 = jump1[:, None, None, :, None] if scenario.gamma_1 > 0 else None
+        self.jump2 = jump2[:, None, None, :] if scenario.gamma_2 > 0 else None
+        duration = scenario.stage_durations[2]
+        rate = scenario.ramsey_angle / duration if stage is StageKind.RAMSEY and duration > 0 else 0.0
+        # H = rate sigma_x: -i [H, rho] swaps the atomic index on either side
+        self.ramsey = -1j * rate
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        d1, d2 = self.d1, self.d2
-        t = rho.reshape(2, d1, d2, 2, d1, d2)
-        out = np.zeros_like(t)
-        buf = np.empty((self.rows, d2, 2, d1, d2), dtype=complex)
-        for s in range(2):
-            for a in range(0, d1, self.rows):
-                b = min(a + self.rows, d1)
-                self._apply_rows(t, out, s, a, b, buf[: b - a])
-        return out.reshape(rho.shape)
-
-    def _apply_rows(self, t, out, s, a, b, buf) -> None:
-        """The generator on the output rows (s, n1 in [a, b)), term by term.
-
-        Each term is formed in buf before it is added, in the same order for
-        every entry as a whole-array evaluation, so the roundings are the same.
-        """
-        o, x = out[s, a:b], t[s, a:b]
-        # -i [H, rho]
-        if self.h_row is not None:
-            o += np.multiply(self.h_row[s, a:b], x, out=buf)
-            o += np.multiply(self.h_col, x, out=buf)
-        if self.ramsey_rate:
-            r = self.ramsey_rate
-            # H = r sigma_x: swap the atomic index on either side
-            o += np.multiply(-1j * r, t[1 - s, a:b], out=buf)
-            o[:, :, 0] += np.multiply(+1j * r, x[:, :, 1], out=buf[:, :, 0])
-            o[:, :, 1] += np.multiply(+1j * r, x[:, :, 0], out=buf[:, :, 0])
-        # 2 gamma a rho a^dag for both fields
-        top = min(b, self.d1 - 1)
-        if self.gamma_1 > 0 and top > a:
-            jump = np.multiply(
-                t[s, a + 1 : top + 1, :, :, 1:, :], self.sqsq1[a:top], out=buf[: top - a, :, :, 1:, :]
-            )
-            out[s, a:top, :, :, :-1, :] += np.multiply(2.0 * self.gamma_1, jump, out=jump)
-        if self.gamma_2 > 0:
-            jump = np.multiply(x[:, 1:, :, :, 1:], self.sqsq2, out=buf[:, 1:, :, :, 1:])
-            o[:, :-1, :, :, :-1] += np.multiply(2.0 * self.gamma_2, jump, out=jump)
-        # -gamma (n rho + rho n)
-        if self.gamma_1 > 0 or self.gamma_2 > 0:
-            o -= np.multiply(self.loss_diag[s, a:b, :, None, None, None], x, out=buf)
-            o -= np.multiply(self.loss_diag, x, out=buf)
+        out = self.diag * rho
+        t, o = rho.reshape(self.shape), out.reshape(self.shape)
+        if self.jump1 is not None:
+            o[:, :-1, :, :, :-1] += self.jump1 * t[:, 1:, :, :, 1:]
+        if self.jump2 is not None:
+            o[:, :, :-1, :, :, :-1] += self.jump2 * t[:, :, 1:, :, :, 1:]
+        if self.ramsey:
+            u = self.ramsey * t
+            o += u[::-1]
+            o -= u[:, :, :, ::-1]
+        return out
 
 
 def liouvillian_apply(rho: DensityMatrix, stage: StageKind, scenario: Scenario) -> np.ndarray:
@@ -137,49 +116,62 @@ def _rk4(
     k2 = gen.apply(rho + (0.5 * h) * k1)
     k3 = gen.apply(rho + (0.5 * h) * k2)
     k4 = gen.apply(rho + h * k3)
-    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # rho + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k2 to save D x D temporaries
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += rho
+    return k2
 
 
-def _advance(gen: _StageGenerator, rho: np.ndarray, span: float, config: IntegratorConfig):
-    """Integrate over one interval, returning (rho, max trace drift, step count)."""
-    t = 0.0
-    h = min(config.initial_step, config.max_step, span) if span > 0 else 0.0
-    max_drift = 0.0
-    steps = 0
-    while t < span - 1e-12 * max(1.0, span):
-        h = min(h, config.max_step, span - t)
-        k1 = gen.apply(rho)  # shared by the full and the first half step
-        big = _rk4(gen, rho, h, k1)
-        first = _rk4(gen, rho, 0.5 * h, k1)
-        del k1
-        half = _rk4(gen, first, 0.5 * h)
-        err = float(np.max(np.abs(big - half)))
-        if err > config.abs_tol:
-            h *= 0.5
-            if h < MIN_STEP:
+def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorConfig):
+    """Integrate from 0 through the sorted ``targets``.
+
+    Returns (one state per target, max trace drift, accepted step count).  The
+    step size carries over from one target to the next.
+    """
+    t, h = 0.0, config.initial_step
+    max_drift, steps, states = 0.0, 0, []
+    for target in targets:
+        while t < target - 1e-12 * max(1.0, target):
+            h = min(h, config.max_step)
+            step = min(h, target - t)
+            k1 = gen.apply(rho)  # shared by the full and the first half step
+            big = _rk4(gen, rho, step, k1)
+            first = _rk4(gen, rho, 0.5 * step, k1)
+            del k1
+            half = _rk4(gen, first, 0.5 * step)
+            err = float(np.max(np.abs(big - half)))
+            ratio = SAFETY * (config.abs_tol / err) ** 0.2 if err > 0 else MAX_FACTOR
+            proposal = step * min(MAX_FACTOR, max(MIN_FACTOR, ratio))
+            if err > config.abs_tol:
+                h = proposal
+                if h < MIN_STEP:
+                    raise StepUnderflow(
+                        f"required step below {MIN_STEP} us (local error {err:.3e}); "
+                        "loosen abs_tol or reduce the truncation"
+                    )
+                continue
+            # a step cut short to land on the target says nothing against h
+            h = proposal if step == h else max(h, proposal)
+            t += step
+            steps += 1
+            tr = float(np.trace(half).real)
+            drift = abs(tr - 1.0)
+            if drift > DRIFT_LIMIT:
                 raise StepUnderflow(
-                    f"required step below {MIN_STEP} us (local error {err:.3e}); "
-                    "loosen abs_tol or reduce the truncation"
+                    f"trace drift {drift:.3e} per step exceeds {DRIFT_LIMIT}; "
+                    "tighten abs_tol or shrink initial_step"
                 )
-            continue
-        rho = half
-        t += h
-        steps += 1
-        tr = float(np.trace(rho).real)
-        drift = abs(tr - 1.0)
-        if drift > DRIFT_LIMIT:
-            raise StepUnderflow(
-                f"trace drift {drift:.3e} per step exceeds {DRIFT_LIMIT}; "
-                "tighten abs_tol or shrink initial_step"
-            )
-        max_drift = max(max_drift, drift)
-        rho = rho / tr
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise StepUnderflow(f"Hermiticity drift {herm:.3e} during integration")
-        if err < config.abs_tol / 64.0:
-            h *= 2.0
-    return rho, max_drift, steps
+            max_drift = max(max_drift, drift)
+            rho = half / tr
+            herm = float(np.max(np.abs(rho - rho.conj().T)))
+            if herm > HERMITICITY_TOL:
+                raise StepUnderflow(f"Hermiticity drift {herm:.3e} during integration")
+        states.append(rho)
+    return states, max_drift, steps
 
 
 def integrate(
@@ -197,16 +189,10 @@ def integrate(
     """
 
     def advance(rho, stage, taus):
-        # integrate forward from the latest sample; taus ends with the stage duration
+        # one pass through the stage; taus ends with the stage duration
         gen = _StageGenerator(scenario, stage, rho.layout.dims)
-        duration, local, out = taus[-1], 0.0, []
-        for tau in taus:
-            target = min(max(tau, 0.0), duration)
-            if target > local:
-                data, _, _ = _advance(gen, rho.data, target - local, config)
-                rho, local = DensityMatrix(rho.layout, data), target
-            out.append(rho)
-        return out
+        states, _, _ = _advance(gen, rho.data, np.clip(taus, 0.0, taus[-1]), config)
+        return [DensityMatrix(rho.layout, data) for data in states]
 
     times, states = _traverse(plan, grid, rho0, advance, _rotate_atom, scenario.ramsey_angle)
     for st in states:

@@ -9,6 +9,7 @@ from cavsim import (
     StageKind,
     StepUnderflow,
     integrate,
+    lindblad,
     liouvillian_apply,
     mean_photon_number,
     rho_stage1,
@@ -19,7 +20,7 @@ from cavsim import (
 from cavsim.evolution import STAGE_ORDER, initial_density
 from cavsim.hilbert import DensityMatrix, coherent_vector, standard_layout
 
-from conftest import margin_scenario, stage1_scenario
+from conftest import margin_scenario, random_density, stage1_scenario
 
 
 def coherent_field1_state(z: complex, n1: int, n2: int, gamma: float) -> tuple[Scenario, DensityMatrix]:
@@ -31,7 +32,54 @@ def coherent_field1_state(z: complex, n1: int, n2: int, gamma: float) -> tuple[S
     return sc, initial_density(sc)
 
 
+def kron_generator(rho: np.ndarray, stage: StageKind, sc: Scenario) -> np.ndarray:
+    """-i [H, rho] + sum_i gamma_i (2 a rho a^dag - a^dag a rho - rho a^dag a) from np.kron."""
+    d1, d2 = sc.n1 + 1, sc.n2 + 1
+    a1 = np.kron(np.eye(2), np.kron(np.diag(np.sqrt(np.arange(1, d1)), 1), np.eye(d2)))
+    a2 = np.kron(np.eye(2 * d1), np.diag(np.sqrt(np.arange(1, d2)), 1))
+    ident = np.eye(2 * d1 * d2)
+    excited = np.kron(np.diag([1.0, 0.0]), np.eye(d1 * d2))
+    ground = np.kron(np.diag([0.0, 1.0]), np.eye(d1 * d2))
+    sigma_x = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(d1 * d2))
+    h = np.zeros_like(ident)
+    for omega, a in zip(sc.omega_active(stage), (a1, a2)):
+        num = a.conj().T @ a
+        h += omega * (excited @ (num + ident) - ground @ num)
+    if stage is StageKind.RAMSEY:
+        h += sc.ramsey_angle / sc.stage_durations[2] * sigma_x
+    out = -1j * (h @ rho - rho @ h)
+    for gamma, a in ((sc.gamma_1, a1), (sc.gamma_2, a2)):
+        ad = a.conj().T
+        out += gamma * (2.0 * a @ rho @ ad - ad @ a @ rho - rho @ ad @ a)
+    return out
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("field", ["initial_step", "abs_tol", "max_step"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    def test_rejects_nan_and_nonpositive(self, field, value):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{field: value})
+
+    def test_infinite_tolerance_allowed(self):
+        # abs_tol = inf accepts every step: the fixed-step mode of the convergence test
+        assert IntegratorConfig(abs_tol=math.inf).abs_tol == math.inf
+
+
 class TestLiouvillianApply:
+    @pytest.mark.parametrize("stage", list(StageKind))
+    def test_matches_kron_construction(self, stage):
+        # asymmetric cutoffs and large rates, so every term and index shows
+        sc = Scenario().variant(
+            n1=3, n2=4, omega_1=0.4, omega_2=0.7, Omega_1=None, Omega_2=None,
+            g=0.3, q=0.2, ramsey_angle=0.9, stage_durations=(3.0, 1.0, 2.0, 1.0, 3.0),
+        )
+        layout = standard_layout(sc.n1, sc.n2)
+        rho = random_density(np.random.default_rng(7), layout.dim)
+        got = liouvillian_apply(DensityMatrix(layout, rho), stage, sc)
+        want = kron_generator(rho, stage, sc)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_zero_generator(self):
         sc = Scenario().variant(
             g=0.0, q=0.0, omega_1=0.0, omega_2=0.0, Omega_1=None, Omega_2=None,
@@ -148,6 +196,73 @@ class TestIntegrate:
             integrate(rho0, [(StageKind.FREE1, 5.0)], [0.0, math.nan], sc)
         with pytest.raises(ValueError, match="finite"):
             run_oracle(sc, [0.0, math.nan])
+
+
+def count_integrator_hooks(monkeypatch) -> dict:
+    """Wrap ``lindblad._rk4`` and ``lindblad._advance`` at the names bench/spans.py patches.
+
+    The traced benchmark reads accepted steps from the third item of what
+    ``_advance`` returns and counts step attempts as ``_rk4`` calls / 3.
+    """
+    counts = {"rk4": 0, "advance": []}
+    rk4, advance = lindblad._rk4, lindblad._advance
+
+    def counted_rk4(*args, **kwargs):
+        counts["rk4"] += 1
+        return rk4(*args, **kwargs)
+
+    def counted_advance(*args, **kwargs):
+        result = advance(*args, **kwargs)
+        counts["advance"].append(result)
+        return result
+
+    monkeypatch.setattr(lindblad, "_rk4", counted_rk4)
+    monkeypatch.setattr(lindblad, "_advance", counted_advance)
+    return counts
+
+
+def accepted_steps(counts: dict) -> int:
+    for result in counts["advance"]:
+        assert isinstance(result, tuple) and len(result) == 3
+        assert isinstance(result[2], int)
+    return sum(result[2] for result in counts["advance"])
+
+
+class TestStepControl:
+    def test_benchmark_hooks_count_attempts(self, monkeypatch):
+        # a smooth run whose attempts are all accepted: _rk4 calls = 3 x accepted steps
+        counts = count_integrator_hooks(monkeypatch)
+        sc = margin_scenario(alpha=0.2, beta=0.2, g=0.05, q=0.05, extra=0)
+        run_oracle(sc, [0.0, 45.0, 90.0])
+        assert len(counts["advance"]) == len(STAGE_ORDER)
+        steps = accepted_steps(counts)
+        assert steps > 0
+        assert counts["rk4"] == 3 * steps
+
+    def test_forced_rejections(self, monkeypatch):
+        counts = count_integrator_hooks(monkeypatch)
+        sc = Scenario().variant(alpha=0.5, beta=0.5, g=0.05, q=0.05, n1=8, n2=8)
+        times = [30.0, 60.0, 90.0]
+        cfg = IntegratorConfig(abs_tol=1e-13, initial_step=2.0)
+        oracle = run_oracle(sc, times, cfg)
+        steps = accepted_steps(counts)
+        assert counts["rk4"] % 3 == 0
+        assert counts["rk4"] // 3 > steps  # at least one attempt was rejected
+        dense = run_scenario(sc, times)
+        for a, b in zip(oracle.states, dense.states):
+            assert trace_distance(a, b) < 1e-6
+
+    def test_many_samples_one_pass(self):
+        # duplicates, samples 1e-13 apart and ten samples inside cavity 1
+        sc = margin_scenario(alpha=0.2, beta=0.2, g=0.3, q=0.2, extra=0)
+        edges = [0.0, 5.0, 5.0, 17.0, 17.0 + 1e-13, 45.0, 45.0, 90.0]
+        times = np.sort(np.concatenate([edges, np.linspace(1.0, 29.0, 10)]))
+        oracle = run_oracle(sc, times, IntegratorConfig(abs_tol=1e-10))
+        dense = run_scenario(sc, times)
+        for a, b in zip(oracle.states, dense.states):
+            assert trace_distance(a, b) < 1e-6
+        for i in np.flatnonzero(np.diff(times) < 1e-12):
+            assert np.array_equal(oracle.states[i].data, oracle.states[i + 1].data)
 
 
 class TestOracleVsDense:
