@@ -62,6 +62,6 @@ from .hilbert import (
     tensor_product,
     trace_distance,
 )
-from .lindblad import IntegratorConfig, integrate, liouvillian_apply, run_oracle
+from .lindblad import IntegratorConfig, liouvillian_apply, run_oracle
 
 __version__ = "0.1.0"

@@ -134,7 +134,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     alphas = sweep.alpha_values or (scenario.alpha,)
     betas = sweep.beta_values or (scenario.beta,)
-    tasks = []
+    tasks = {}  # output path -> task; two points must never share a file
     for alpha in alphas:
         for beta in betas:
             for g in sweep.g_values:
@@ -142,13 +142,15 @@ def cmd_sweep(args) -> int:
                     pt = scenario.variant(g=g, q=q, alpha=alpha, beta=beta)
                     times = _sample_grid(pt, sweep.n_samples)
                     path = out / sweep_filename(alpha, beta, g, q)
-                    tasks.append((pt, times, backend, args.converge, path))
+                    if path in tasks:  # names keep 6 significant digits
+                        raise ConfigError(f"two sweep points would both write {path.name}")
+                    tasks[path] = (pt, times, backend, args.converge, path)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for name in pool.map(_sweep_point, tasks):
+            for name in pool.map(_sweep_point, tasks.values()):
                 print(name)
     else:
-        for task in tasks:
+        for task in tasks.values():
             print(_sweep_point(task))
     return 0
 
@@ -199,12 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p, needs_config=True, runs_backend=True):
         if needs_config:
             p.add_argument("config", help="key = value config file")
         p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or '.')")
-        p.add_argument("--backend", choices=BACKENDS)
         p.add_argument("--truncation", help="override Fock cutoffs as N1,N2")
+        if not runs_backend:
+            return
+        p.add_argument("--backend", choices=BACKENDS)
         p.add_argument(
             "--converge",
             action="store_true",
@@ -231,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("phase-space", help="cavity-1 branch labels in phase space")
-    common(p)
+    common(p, runs_backend=False)
     p.set_defaults(func=cmd_phase_space)
 
     return parser

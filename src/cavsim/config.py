@@ -34,8 +34,10 @@ class SweepSpec:
     def validate(self) -> "SweepSpec":
         if any(g < 0 for g in self.g_values) or any(q < 0 for q in self.q_values):
             raise ConfigError("sweep decay ratios must be non-negative", key="sweep_g")
-        if not self.g_values or not self.q_values:
-            raise ConfigError("sweep grids must be non-empty", key="sweep_g")
+        for key in ("sweep_g", "sweep_q", "sweep_alpha", "sweep_beta"):
+            values = getattr(self, _KEYS[key][0])
+            if values is not None and not values:  # None: the amplitude is not swept
+                raise ConfigError("sweep grids must be non-empty", key=key)
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive", key="n_samples")
         if self.backend not in BACKENDS:

@@ -28,9 +28,9 @@ with the field labels in Fock coordinates or in label-isometry coordinates.
 
 Both backends run through one closed-form driver (:func:`_closed_form_run`):
 it steps every sample from its stage-start state and dresses lab snapshots
-afterwards.  The driver and the integrator in :mod:`cavsim.lindblad` walk the
-stages through one rotating-frame traversal (:func:`_traverse`), supplying a
-per-stage advance and an atomic rotation.
+afterwards.  It and :func:`cavsim.lindblad.run_oracle` walk a scenario's stages
+through one rotating-frame traversal (:func:`_traverse`), supplying a per-stage
+advance and an atomic rotation; all three take (scenario, sample times, initial).
 
 Units: time in microseconds, angular frequencies in rad/us.  The conventional
 "kHz" experimental values map to 1e-3 rad/us.
@@ -480,22 +480,16 @@ class Trajectory:
         return recs
 
 
-def _stage_plan(scenario: Scenario) -> list:
-    """The five (StageKind, duration) pairs of a scenario, in traversal order."""
-    return list(zip(STAGE_ORDER, scenario.stage_durations))
+def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
+    """Walk the scenario's five stages; return (sample times, snapshots at those times).
 
-
-def _traverse(plan, sample_times, state, advance, rotate, ramsey_angle: float):
-    """Walk a stage plan and return (sample times, snapshots at those times).
-
-    ``plan`` is a sequence of (StageKind, duration) pairs.  The sample times
-    must be non-empty, finite, sorted and inside the plan's span; a sample on a
-    stage boundary belongs to the earlier stage.  For each stage,
-    ``advance(state, stage, taus)`` receives the stage-start state and the
-    elapsed times of the stage's samples followed by the stage duration, and
-    returns one state per entry; the last one starts the next stage.  A
-    zero-duration Ramsey stage applies the full pulse area at once through
-    ``rotate(state, ramsey_angle)``.
+    The sample times must be non-empty, finite, sorted and inside the
+    scenario's span; a sample on a stage boundary belongs to the earlier stage.
+    For each stage, ``advance(state, stage, taus)`` receives the stage-start
+    state and the elapsed times of the stage's samples followed by the stage
+    duration, and returns one state per entry; the last one starts the next
+    stage.  After its samples, a zero-duration Ramsey stage applies the full
+    pulse area at once through ``rotate(state, scenario.ramsey_angle)``.
     """
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if times.size == 0:
@@ -504,18 +498,18 @@ def _traverse(plan, sample_times, state, advance, rotate, ramsey_angle: float):
         raise ValueError("sample times must be finite")
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be sorted")
-    bounds = np.concatenate([[0.0], np.cumsum([duration for _, duration in plan])])
+    bounds = scenario.stage_times()
     if times[0] < -1e-12 or times[-1] > bounds[-1] + 1e-9:
         raise ValueError("sample times outside the scenario time span")
     # each sample belongs to the earliest stage whose interval contains it
-    stage_of = np.minimum(np.searchsorted(bounds[1:], times, side="left"), len(plan) - 1)
+    stage_of = np.minimum(np.searchsorted(bounds[1:], times, side="left"), len(STAGE_ORDER) - 1)
     snapshots: list = []
-    for k, (stage, duration) in enumerate(plan):
+    for k, (stage, duration) in enumerate(zip(STAGE_ORDER, scenario.stage_durations)):
         taus = np.append(times[stage_of == k] - bounds[k], duration)
         *samples, state = advance(state, stage, taus)
         snapshots.extend(samples)
-        if duration == 0 and stage is StageKind.RAMSEY and ramsey_angle != 0.0:
-            state = rotate(state, ramsey_angle)
+        if duration == 0 and stage is StageKind.RAMSEY and scenario.ramsey_angle != 0.0:
+            state = rotate(state, scenario.ramsey_angle)
     return times, snapshots
 
 
@@ -535,26 +529,27 @@ def _closed_form_run(scenario: Scenario, sample_times, state, step, rotate, dres
     def advance(st, stage, taus):
         return [step(st, stage, float(tau), scenario) if tau > 0 else st for tau in taus]
 
-    times, states = _traverse(
-        _stage_plan(scenario), sample_times, state, advance, rotate, scenario.ramsey_angle
-    )
+    times, states = _traverse(scenario, sample_times, state, advance, rotate)
     if scenario.frame == "lab":
         states = [dress(st, scenario, float(t)) if t > 0 else st for st, t in zip(states, times)]
     return Trajectory(scenario, times, states)
 
 
-def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None = None) -> Trajectory:
-    """Dense-backend traversal; snapshots at the requested times.
-
-    A zero-duration Ramsey stage is treated as an instantaneous rotation by the
-    full pulse area when the traversal crosses it.  Lab-mode snapshots are the
-    rotating-frame ones dressed with the free phases accumulated since t0
-    (see :func:`_closed_form_run`).
-    """
-    scenario.validate()
+def _density_start(scenario: Scenario, initial) -> DensityMatrix:
+    """The start state of a density-matrix runner: ``initial``, or the scenario's if None."""
     state = initial if initial is not None else initial_density(scenario)
     if not isinstance(state, DensityMatrix):
         raise TypeError("initial must be a DensityMatrix")
+    return state
+
+
+def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None = None) -> Trajectory:
+    """Dense-backend traversal from ``initial`` (None: :func:`initial_density`).
+
+    Sampling, the zero-duration Ramsey kick and lab dressing: :func:`_closed_form_run`.
+    """
+    scenario.validate()
+    state = _density_start(scenario, initial)
     return _closed_form_run(scenario, sample_times, state, stage_step, _rotate_atom, _dress)
 
 

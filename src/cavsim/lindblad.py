@@ -13,11 +13,13 @@ that elementwise product, the two shifted jump slices a rho a^dag (with 2 gamma
 folded into their sqrt(n m) factors) and, in the Ramsey zone, one atomic swap.
 
 Error control is step doubling: an attempt is one full step and two half steps
-(three ``_rk4`` calls sharing k1), accepted when max|full - halves| <= abs_tol.
-After every attempt the next step is the attempted one times
-min(MAX_FACTOR, max(MIN_FACTOR, SAFETY (abs_tol / err)^(1/5))) (Hairer, Norsett
-& Wanner, Solving ODEs I, II.4).  One pass runs through all samples of a stage,
-so the step size carries over from one sample to the next.
+(three ``_rk4`` calls sharing k1, kept after a rejection), accepted when
+max|full - halves| <= abs_tol.  After every attempt the next step is the
+attempted one times min(MAX_FACTOR, max(MIN_FACTOR, SAFETY (abs_tol / err)^(1/5)))
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4).  :func:`run_oracle` walks a
+scenario's stages through the traversal of the closed-form backends
+(:func:`cavsim.evolution._traverse`) in one pass per stage, so the step size
+carries over from one sample to the next.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from .evolution import (
     Scenario,
     StageKind,
     Trajectory,
+    _density_start,
     _rotate_atom,
-    _stage_plan,
     _traverse,
-    initial_density,
 )
 from .exceptions import StepUnderflow
 from .hilbert import HERMITICITY_TOL
@@ -103,8 +104,7 @@ class _StageGenerator:
 
 def liouvillian_apply(rho: DensityMatrix, stage: StageKind, scenario: Scenario) -> np.ndarray:
     """Instantaneous generator action d rho/dt for the given stage (rotating frame)."""
-    gen = _StageGenerator(scenario, stage, rho.layout.dims)
-    return gen.apply(rho.data)
+    return _StageGenerator(scenario, stage, rho.layout.dims).apply(rho.data)
 
 
 def _rk4(
@@ -127,23 +127,23 @@ def _rk4(
 
 
 def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorConfig):
-    """Integrate from 0 through the sorted ``targets``.
+    """Integrate from 0 through the sorted ``targets``, carrying the step size over.
 
-    Returns (one state per target, max trace drift, accepted step count).  The
-    step size carries over from one target to the next.
+    Returns (one state per target, max trace drift, accepted step count).
     """
     t, h = 0.0, config.initial_step
-    max_drift, steps, states = 0.0, 0, []
+    max_drift, steps, states, k1 = 0.0, 0, [], None
     for target in targets:
         while t < target - 1e-12 * max(1.0, target):
             h = min(h, config.max_step)
             step = min(h, target - t)
-            k1 = gen.apply(rho)  # shared by the full and the first half step
-            big = _rk4(gen, rho, step, k1)
+            if k1 is None:  # shared by the full and first half step; a rejection keeps rho
+                k1 = gen.apply(rho)
             first = _rk4(gen, rho, 0.5 * step, k1)
-            del k1
             half = _rk4(gen, first, 0.5 * step)
-            err = float(np.max(np.abs(big - half)))
+            del first
+            # the full step lives only as long as its difference from the two half steps
+            err = float(np.max(np.abs(_rk4(gen, rho, step, k1) - half)))
             ratio = SAFETY * (config.abs_tol / err) ** 0.2 if err > 0 else MAX_FACTOR
             proposal = step * min(MAX_FACTOR, max(MIN_FACTOR, ratio))
             if err > config.abs_tol:
@@ -158,6 +158,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
             h = proposal if step == h else max(h, proposal)
             t += step
             steps += 1
+            k1 = None
             tr = float(np.trace(half).real)
             drift = abs(tr - 1.0)
             if drift > DRIFT_LIMIT:
@@ -166,7 +167,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
                     "tighten abs_tol or shrink initial_step"
                 )
             max_drift = max(max_drift, drift)
-            rho = half / tr
+            rho = np.divide(half, tr, out=half)
             herm = float(np.max(np.abs(rho - rho.conj().T)))
             if herm > HERMITICITY_TOL:
                 raise StepUnderflow(f"Hermiticity drift {herm:.3e} during integration")
@@ -174,19 +175,20 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
     return states, max_drift, steps
 
 
-def integrate(
-    rho0: DensityMatrix,
-    plan,
-    grid,
+def run_oracle(
     scenario: Scenario,
+    sample_times,
     config: IntegratorConfig = IntegratorConfig(),
+    initial: DensityMatrix | None = None,
 ) -> Trajectory:
-    """Integrate through a stage plan of (StageKind, duration) pairs, sampling at the grid.
+    """Five-stage traversal by direct integration of the master equation.
 
-    The grid must be non-empty, finite, sorted and inside the plan's span.  A
-    sample on a stage boundary belongs to the earlier stage, and a zero-duration
-    Ramsey entry applies the instantaneous full-area rotation.
+    Samples and ``initial`` follow :func:`~cavsim.evolution.run_scenario`.
+    Snapshots are always rotating-frame states, whatever the scenario frame;
+    frames are compared on concurrences, which the free phases cannot move.
     """
+    scenario = scenario.validate().variant(frame="rotating")
+    state = _density_start(scenario, initial)
 
     def advance(rho, stage, taus):
         # one pass through the stage; taus ends with the stage duration
@@ -194,19 +196,7 @@ def integrate(
         states, _, _ = _advance(gen, rho.data, np.clip(taus, 0.0, taus[-1]), config)
         return [DensityMatrix(rho.layout, data) for data in states]
 
-    times, states = _traverse(plan, grid, rho0, advance, _rotate_atom, scenario.ramsey_angle)
+    times, states = _traverse(scenario, sample_times, state, advance, _rotate_atom)
     for st in states:
         st.validate()
     return Trajectory(scenario, times, states)
-
-
-def run_oracle(
-    scenario: Scenario, sample_times, config: IntegratorConfig = IntegratorConfig()
-) -> Trajectory:
-    """Full five-stage traversal via direct integration of the master equation.
-
-    Snapshots are always rotating-frame states, whatever the scenario frame;
-    frames are compared on concurrences, which the free phases cannot move.
-    """
-    scenario = scenario.validate().variant(frame="rotating")
-    return integrate(initial_density(scenario), _stage_plan(scenario), sample_times, scenario, config)

@@ -2,8 +2,9 @@
 
 ``quick`` cross-checks the closed form, the dense map and the branch backend on
 the first cavity in a few seconds.  ``full`` re-runs the branch-vs-dense
-certification over the whole experimental grid and certifies the dense backend
-against the brute-force integrator.
+certification over the whole experimental grid, certifies the dense backend
+against the brute-force integrator and adds :func:`invariant_checks`.  Each
+invariant is measured by one private helper here; the checks choose the grids.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, lindblad
+from .entanglement import monogamy_residual
 from .evolution import (
     Scenario,
     StageKind,
@@ -38,6 +40,9 @@ ORACLE_TOL = 1e-6  # trace distance of dense and oracle states
 ORACLE_CHECKPOINTS = 10  # samples of the oracle certification run
 FRAME_TOL = 1e-8  # concurrence shift between the rotating and lab frames
 SEMIGROUP_TOL = 1e-9  # trace distance of one step and two split steps
+MIN_CKW_RESIDUAL = -1e-6  # most negative CKW monogamy residual accepted as roundoff
+INVARIANT_MARGIN = 5  # Fock cutoffs above the default rule for the invariant suites
+SEMIGROUP_STAGES = (StageKind.CAVITY1, StageKind.FREE1, StageKind.RAMSEY, StageKind.CAVITY2)
 
 
 @dataclass(frozen=True)
@@ -47,17 +52,52 @@ class CheckResult:
     detail: str
 
 
+def _bounded(name: str, quantity: str, value: float, passed: bool, tol: float) -> CheckResult:
+    return CheckResult(name, passed, f"{quantity} {value:.3e} (tol {tol:.1e})")
+
+
 def _record_gap(recs_a, recs_b, fields) -> float:
     """Largest difference of the given record fields between two record lists."""
     return max(abs(getattr(a, f) - getattr(b, f)) for a, b in zip(recs_a, recs_b) for f in fields)
 
 
-def _with_margin(sc: Scenario) -> Scenario:
-    """sc with both Fock cutoffs CERT_MARGIN above the default rule."""
-    return sc.variant(
-        n1=default_truncation(sc.alpha) + CERT_MARGIN,
-        n2=default_truncation(sc.beta) + CERT_MARGIN,
-    )
+def _with_margin(sc: Scenario, margin: int = CERT_MARGIN) -> Scenario:
+    """sc with both Fock cutoffs ``margin`` above the default rule."""
+    n1, n2 = default_truncation(sc.alpha) + margin, default_truncation(sc.beta) + margin
+    return sc.variant(n1=n1, n2=n2)
+
+
+def _min_eigenvalue(states) -> float:
+    """Smallest eigenvalue of the states (0 if none is negative); each is validated first."""
+    worst = 0.0
+    for st in states:
+        st.validate()
+        worst = min(worst, float(np.linalg.eigvalsh(st.data)[0]))
+    return worst
+
+
+def _frame_shift(sc: Scenario, times) -> float:
+    """Largest pairwise-concurrence shift between the rotating- and lab-frame runs of sc."""
+    rot = run_scenario(sc, times).records()
+    lab = run_scenario(sc.variant(frame="lab"), times).records()
+    return _record_gap(rot, lab, CONCURRENCES)
+
+
+def _semigroup_gap(sc: Scenario, stages=SEMIGROUP_STAGES) -> float:
+    """Largest trace distance of stage_step(9 us) and stage_step(5 us) after stage_step(4 us)."""
+    rho = initial_density(sc)
+    worst = 0.0
+    for stage in stages:
+        one = stage_step(rho, stage, 9.0, sc)
+        two = stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc)
+        worst = max(worst, trace_distance(one, two))
+    return worst
+
+
+def _ckw_residual(states) -> float:
+    """Smallest CKW residual tau_A - C_AF1^2 - C_AF2^2 (pure states only); -inf if one is mixed."""
+    residuals = [monogamy_residual(st) for st in states]
+    return -math.inf if None in residuals else min(residuals)
 
 
 def _stage1_scenario(alpha, g, t1: float = 1000.0) -> Scenario:
@@ -76,17 +116,10 @@ def stage1_equivalence(alphas, gs, times) -> list[CheckResult]:
             for i, t in enumerate(times):
                 ref = analytic.rho_stage1(float(t), sc)
                 worst_ad = max(worst_ad, trace_distance(ref, dense.states[i]))
-                worst_bd = max(
-                    worst_bd, trace_distance(dense.states[i], branch.dense_state(i))
-                )
+                worst_bd = max(worst_bd, trace_distance(dense.states[i], branch.dense_state(i)))
     return [
-        CheckResult(
-            name, worst < STATE_TOL, f"worst trace distance {worst:.3e} (tol {STATE_TOL:.1e})"
-        )
-        for name, worst in (
-            ("analytic-vs-dense (stage 1)", worst_ad),
-            ("branch-vs-dense (stage 1)", worst_bd),
-        )
+        _bounded(f"{name} (stage 1)", "worst trace distance", worst, worst < STATE_TOL, STATE_TOL)
+        for name, worst in (("analytic-vs-dense", worst_ad), ("branch-vs-dense", worst_bd))
     ]
 
 
@@ -98,26 +131,16 @@ def concurrence_landmark() -> CheckResult:
     zero = analytic.concurrence_stage1(2.0 * t_peak, sc)
     expected = math.sqrt(1.0 - math.exp(-4.0))
     ok = abs(peak - expected) < LANDMARK_TOL and zero < LANDMARK_TOL
-    return CheckResult(
-        "concurrence landmark",
-        ok,
-        f"peak {peak:.8f} vs {expected:.8f}, zero crossing {zero:.2e}",
-    )
+    detail = f"peak {peak:.8f} vs {expected:.8f}, zero crossing {zero:.2e}"
+    return CheckResult("concurrence landmark", ok, detail)
 
 
 def snapshot_invariants() -> CheckResult:
     """Hermiticity/trace/positivity of dense snapshots along a lossy traversal."""
     sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
-    traj = run_scenario(sc, np.linspace(0.0, sc.total_time(), 16))
-    worst = 0.0
-    for st in traj.states:
-        st.validate()
-        worst = min(worst, float(np.linalg.eigvalsh(st.data)[0]))
-    return CheckResult(
-        "snapshot invariants",
-        worst >= MIN_EIGENVALUE,
-        f"minimum eigenvalue {worst:.3e} (tol {MIN_EIGENVALUE:.1e})",
-    )
+    worst = _min_eigenvalue(run_scenario(sc, np.linspace(0.0, sc.total_time(), 16)).states)
+    passed = worst >= MIN_EIGENVALUE
+    return _bounded("snapshot invariants", "minimum eigenvalue", worst, passed, MIN_EIGENVALUE)
 
 
 def quick_checks() -> list[CheckResult]:
@@ -170,41 +193,44 @@ def oracle_certification() -> CheckResult:
     t0 = time.perf_counter()
     dense = run_scenario(sc, times)
     oracle = lindblad.run_oracle(sc, times)
-    worst = max(
-        trace_distance(dense.states[i], oracle.states[i]) for i in range(times.size)
-    )
+    worst = max(trace_distance(a, b) for a, b in zip(dense.states, oracle.states))
     elapsed = time.perf_counter() - t0
-    return CheckResult(
-        "dense-vs-oracle (5 stages)",
-        worst < ORACLE_TOL,
-        f"worst trace distance {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s",
-    )
+    detail = f"worst trace distance {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s"
+    return CheckResult("dense-vs-oracle (5 stages)", worst < ORACLE_TOL, detail)
 
 
 def frame_invariance() -> CheckResult:
     """Pairwise concurrences agree between the rotating and lab frames."""
     sc = Scenario().variant(g=0.05, q=0.5, alpha=1.0, beta=0.5)
-    times = np.linspace(0.0, sc.total_time(), 7)
-    rot = run_scenario(sc, times).records()
-    lab = run_scenario(sc.variant(frame="lab"), times).records()
-    worst = _record_gap(rot, lab, CONCURRENCES)
-    return CheckResult(
-        "frame invariance", worst < FRAME_TOL, f"worst concurrence shift {worst:.3e}"
-    )
+    worst = _frame_shift(sc, np.linspace(0.0, sc.total_time(), 7))
+    detail = f"worst concurrence shift {worst:.3e}"
+    return CheckResult("frame invariance", worst < FRAME_TOL, detail)
 
 
 def semigroup_property() -> CheckResult:
     """stage_step(t1+t2) equals stage_step(t2) after stage_step(t1), per stage."""
-    sc = Scenario().variant(g=0.5, q=0.3, alpha=1.0, beta=0.8)
-    rho = initial_density(sc)
-    worst = 0.0
-    for stage in (StageKind.CAVITY1, StageKind.FREE1, StageKind.RAMSEY, StageKind.CAVITY2):
-        one = stage_step(rho, stage, 9.0, sc)
-        two = stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc)
-        worst = max(worst, trace_distance(one, two))
-    return CheckResult(
-        "semigroup property", worst < SEMIGROUP_TOL, f"worst trace distance {worst:.3e}"
+    worst = _semigroup_gap(Scenario().variant(g=0.5, q=0.3, alpha=1.0, beta=0.8))
+    detail = f"worst trace distance {worst:.3e}"
+    return CheckResult("semigroup property", worst < SEMIGROUP_TOL, detail)
+
+
+def invariant_checks() -> list[CheckResult]:
+    """Physicality, frame shift and semigroup law on a lossy run (12 samples), and
+    CKW monogamy on pure lossless runs (8 samples), at INVARIANT_MARGIN cutoffs."""
+    sc = _with_margin(Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0), INVARIANT_MARGIN)
+    times = np.linspace(0.0, sc.total_time(), 12)
+    lam_min = _min_eigenvalue(run_scenario(sc, times).states)
+    shift, gap = _frame_shift(sc, times), _semigroup_gap(sc)
+    pure = [_with_margin(Scenario().variant(alpha=a, beta=a), INVARIANT_MARGIN) for a in (0.5, 1.0)]
+    runs = (run_scenario(p, np.linspace(0.0, p.total_time(), 8)) for p in pure)
+    ckw = min(_ckw_residual(run.states) for run in runs)
+    checks = (  # name, quantity, value, passed, tolerance
+        ("physicality", "minimum eigenvalue", lam_min, lam_min >= MIN_EIGENVALUE, MIN_EIGENVALUE),
+        ("frame invariance", "worst concurrence shift", shift, shift < FRAME_TOL, FRAME_TOL),
+        ("semigroup property", "worst trace distance", gap, gap < SEMIGROUP_TOL, SEMIGROUP_TOL),
+        ("CKW monogamy", "smallest residual", ckw, ckw >= MIN_CKW_RESIDUAL, MIN_CKW_RESIDUAL),
     )
+    return [_bounded(f"{name} (margin cutoffs)", *row) for name, *row in checks]
 
 
 def full_checks() -> list[CheckResult]:
@@ -213,4 +239,5 @@ def full_checks() -> list[CheckResult]:
     results.append(frame_invariance())
     results.append(branch_certification())
     results.append(oracle_certification())
+    results.extend(invariant_checks())
     return results

@@ -8,26 +8,22 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from cavsim import Scenario, default_truncation  # noqa: E402
+from cavsim import Scenario  # noqa: E402
+from cavsim.validation import CERT_MARGIN, _with_margin  # noqa: E402
 
 
-def margin_scenario(alpha=1.0, beta=0.5, g=0.0, q=0.0, extra=10, **kw) -> Scenario:
-    """Scenario with Fock cutoffs comfortably above the default rule.
+def margin_scenario(alpha=1.0, beta=0.5, g=0.0, q=0.0, extra=CERT_MARGIN, **kw) -> Scenario:
+    """Scenario with Fock cutoffs ``extra`` above the default rule.
 
     Raw-state comparisons at 1e-8 need the coherent tails pushed well below
     the default rule's ~1e-14 mass.
     """
-    sc = Scenario().variant(g=g, q=q, alpha=alpha, beta=beta, **kw)
-    return sc.variant(
-        n1=default_truncation(alpha) + extra, n2=default_truncation(beta) + extra
-    )
+    return _with_margin(Scenario().variant(g=g, q=q, alpha=alpha, beta=beta, **kw), extra)
 
 
 def stage1_scenario(alpha=1.0, g=0.0, t1=1000.0, **kw) -> Scenario:
     """Single-cavity traversal (everything after cavity 1 has zero duration)."""
-    return margin_scenario(alpha=alpha, g=g, **kw).variant(
-        stage_durations=(t1, 0.0, 0.0, 0.0, 0.0)
-    )
+    return margin_scenario(alpha=alpha, g=g, stage_durations=(t1, 0.0, 0.0, 0.0, 0.0), **kw)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -11,27 +11,19 @@ import time
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from cavsim import (
     Scenario,
-    StageKind,
     branch_run,
     concurrence_stage1,
-    default_truncation,
     initial_density,
     mean_photon_number,
-    monogamy_residual,
     rho_stage1,
     run_scenario,
-    stage_step,
-    trace_distance,
 )
 from cavsim import validation
 from cavsim.hilbert import trace_distance_below
-
-RATE_GRID = (0.0, 0.05, 0.5, 1.0)
-AMPLITUDES = (0.5, 1.0, 2.0)
+from cavsim.validation import CERT_AMPLITUDES, CERT_GRID
 ZERO_FLOOR = 1e-12  # numerical floor below which a concurrence is an exact zero
 
 
@@ -55,8 +47,8 @@ def test_criterion_1_analytic_dense_equivalence():
     t0 = time.perf_counter()
     times = np.linspace(0.0, 1000.0, 20)
     ok = True
-    for alpha in AMPLITUDES:
-        for g in RATE_GRID:
+    for alpha in CERT_AMPLITUDES:
+        for g in CERT_GRID:
             sc = single_cavity(alpha, g, n1=35)
             dense = run_scenario(sc, times)
             for i, t in enumerate(times):
@@ -192,7 +184,7 @@ def test_criterion_5b_first_cavity_dissipation_suppression():
 
 def test_criterion_5c_field_field_maximum_ordering():
     """max C_F1F2 monotone non-increasing along the (g,q) diagonal."""
-    maxima = [_max_c(_records(0.5, 0.5, r, r), "c_f1f2") for r in RATE_GRID]
+    maxima = [_max_c(_records(0.5, 0.5, r, r), "c_f1f2") for r in CERT_GRID]
     diffs = np.diff(maxima)
     ok = bool(np.all(diffs <= 1e-9))
     report(
@@ -241,57 +233,15 @@ def test_criterion_5d_sudden_death():
 
 
 def test_criterion_6_invariant_suites():
-    """Trace/Hermiticity/positivity per snapshot; frame invariance; semigroup; CKW."""
-    # snapshot physicality on a lossy run
-    sc = Scenario().variant(
-        g=0.5, q=0.5, alpha=1.0, beta=1.0,
-        n1=default_truncation(1.0) + 5, n2=default_truncation(1.0) + 5,
-    )
-    times = np.linspace(0.0, sc.total_time(), 12)
-    lam_min = 0.0
-    for st in run_scenario(sc, times).states:
-        st.validate()
-        lam_min = min(lam_min, float(np.linalg.eigvalsh(st.data)[0]))
-    ok_phys = lam_min >= -1e-9
+    """Trace/Hermiticity/positivity per snapshot; frame invariance; semigroup; CKW.
 
-    # frame invariance of all pairwise concurrences
-    rot = run_scenario(sc, times).records()
-    lab = run_scenario(sc.variant(frame="lab"), times).records()
-    frame_shift = max(
-        max(abs(a.c_af1 - b.c_af1), abs(a.c_af2 - b.c_af2), abs(a.c_f1f2 - b.c_f1f2))
-        for a, b in zip(rot, lab)
-    )
-    ok_frame = frame_shift < 1e-8
-
-    # semigroup property per stage
-    rho = initial_density(sc)
-    semi = 0.0
-    for stage in (StageKind.CAVITY1, StageKind.FREE1, StageKind.RAMSEY, StageKind.CAVITY2):
-        one = stage_step(rho, stage, 9.0, sc)
-        two = stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc)
-        semi = max(semi, trace_distance(one, two))
-    ok_semi = semi < 1e-9
-
-    # CKW residual on pure-global runs
-    worst_residual = math.inf
-    for alpha in (0.5, 1.0):
-        scp = Scenario().variant(
-            g=0.0, q=0.0, alpha=alpha, beta=alpha,
-            n1=default_truncation(alpha) + 5, n2=default_truncation(alpha) + 5,
-        )
-        for st in run_scenario(scp, np.linspace(0.0, scp.total_time(), 8)).states:
-            res = monogamy_residual(st)
-            assert res is not None
-            worst_residual = min(worst_residual, res)
-    ok_ckw = worst_residual >= -1e-6
-
-    ok = ok_phys and ok_frame and ok_semi and ok_ckw
-    report(
-        f"ACCEPTANCE 6 invariant suites: {'PASS' if ok else 'FAIL'} "
-        f"(lam_min {lam_min:.1e}, frame shift {frame_shift:.1e}, "
-        f"semigroup {semi:.1e}, CKW residual {worst_residual:.1e})"
-    )
-    assert ok_phys and ok_frame and ok_semi and ok_ckw
+    The suites are :func:`cavsim.validation.invariant_checks`.
+    """
+    results = validation.invariant_checks()
+    ok = len(results) == 4 and all(r.passed for r in results)
+    details = "; ".join(f"{r.name}: {r.detail}" for r in results)
+    report(f"ACCEPTANCE 6 invariant suites: {'PASS' if ok else 'FAIL'} ({details})")
+    assert ok, details
 
 
 def test_criterion_7_mean_photon_decay():

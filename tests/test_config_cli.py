@@ -144,6 +144,12 @@ class TestParseConfig:
     def test_sweep_filename_encoding(self):
         assert sweep_filename(0.5, 1.0, 0.05, 0.0) == "a0.5_b1_g0.05_q0.csv"
 
+    @pytest.mark.parametrize("key", ["sweep_g", "sweep_q", "sweep_alpha", "sweep_beta"])
+    def test_empty_sweep_grid_rejected(self, key):  # empty amplitudes fell back to alpha/beta
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} =\n")
+        assert err.value.key == key
+
 
 class TestCsvOutput:
     def test_records_csv_format(self, tmp_path):
@@ -238,6 +244,21 @@ class TestCliCommands:
         cfg.write_text("sweep_g = 0\nsweep_q = 0\nn_samples = 2\nbackend = branch\n")
         assert main(["sweep", str(cfg), "--out", str(tmp_path), "--jobs", jobs]) == 2
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "grid", ["sweep_g = 0.1000001, 0.1000002", "sweep_g = 0.1, 0.1", "sweep_alpha = 1, 1+0j"]
+    )
+    def test_sweep_rejects_colliding_file_names(self, tmp_path, grid):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{grid}\nn_samples = 2\nbackend = branch\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("flag", [["--converge"], ["--backend", "dense"]])
+    def test_phase_space_has_no_backend_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:  # argparse: exit 2 on an unknown flag
+            main(["phase-space", "ps.cfg", *flag])
+        assert exc.value.code == 2
 
     def test_phase_space_command(self, tmp_path):
         cfg = tmp_path / "ps.cfg"

@@ -8,7 +8,6 @@ from cavsim import (
     Scenario,
     StageKind,
     StepUnderflow,
-    integrate,
     lindblad,
     liouvillian_apply,
     mean_photon_number,
@@ -18,7 +17,8 @@ from cavsim import (
     trace_distance,
 )
 from cavsim.evolution import STAGE_ORDER, initial_density
-from cavsim.hilbert import DensityMatrix, coherent_vector, standard_layout
+from cavsim.hilbert import DensityMatrix, standard_layout
+from cavsim.validation import _min_eigenvalue
 
 from conftest import margin_scenario, random_density, stage1_scenario
 
@@ -125,9 +125,10 @@ class TestIntegrate:
         sc = Scenario().variant(
             g=0.0, q=0.0, omega_1=0.0, omega_2=0.0, Omega_1=None, Omega_2=None,
             alpha=0.5, beta=0.5, n1=10, n2=10, ramsey_angle=0.0,
+            stage_durations=(0.0, 10.0, 0.0, 0.0, 0.0),  # free flight only
         )
         rho0 = initial_density(sc)
-        traj = integrate(rho0, [(StageKind.FREE1, 10.0)], [0.0, 5.0, 10.0], sc)
+        traj = run_oracle(sc, [0.0, 5.0, 10.0], initial=rho0)
         for st in traj.states:
             assert trace_distance(st, rho0) < 1e-12
 
@@ -136,7 +137,8 @@ class TestIntegrate:
         gamma = 0.05
         tau = 0.5 / gamma
         sc, rho0 = coherent_field1_state(1.0, 18, 1, gamma)
-        traj = integrate(rho0, [(StageKind.FREE1, tau)], [tau], sc)
+        sc = sc.variant(stage_durations=(0.0, tau, 0.0, 0.0, 0.0))  # free flight only
+        traj = run_oracle(sc, [tau], initial=rho0)
         assert mean_photon_number(traj.states[0], "field1") == pytest.approx(
             math.exp(-1.0), abs=1e-6
         )
@@ -145,7 +147,7 @@ class TestIntegrate:
         sc = stage1_scenario(alpha=1.0, g=0.05, t1=40.0, extra=5)
         rho0 = initial_density(sc)
         cfg = IntegratorConfig(abs_tol=1e-9)
-        traj = integrate(rho0, [(StageKind.CAVITY1, 40.0)], [20.0, 40.0], sc, cfg)
+        traj = run_oracle(sc, [20.0, 40.0], cfg, initial=rho0)
         for t, st in zip(traj.times, traj.states):
             assert trace_distance(st, rho_stage1(float(t), sc)) < 1e-7
 
@@ -159,7 +161,7 @@ class TestIntegrate:
 
         def end_error(h):
             cfg = IntegratorConfig(initial_step=h, abs_tol=np.inf, max_step=h)
-            traj = integrate(rho0, [(StageKind.CAVITY1, 40.0)], [40.0], sc, cfg)
+            traj = run_oracle(sc, [40.0], cfg, initial=rho0)
             return trace_distance(traj.states[0], ref)
 
         e1, e2 = end_error(4.0), end_error(2.0)
@@ -168,34 +170,41 @@ class TestIntegrate:
     def test_trace_conserved_before_renormalization(self):
         sc = stage1_scenario(alpha=1.0, g=0.5, t1=50.0, extra=0)
         rho0 = initial_density(sc)
-        traj = integrate(rho0, [(StageKind.CAVITY1, 50.0)], [50.0], sc)
+        traj = run_oracle(sc, [50.0], initial=rho0)
         assert abs(traj.states[0].trace() - 1.0) < 1e-8
 
     def test_positivity_within_relaxed_tolerance(self):
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.5, q=0.5, extra=0)
         traj = run_oracle(sc, [30.0, 90.0], IntegratorConfig(abs_tol=1e-9))
-        for st in traj.states:
-            lam_min = float(np.linalg.eigvalsh(st.data)[0])
-            assert lam_min >= -1e-7
+        assert _min_eigenvalue(traj.states) >= -1e-7
 
     def test_step_underflow(self):
         sc = stage1_scenario(alpha=0.5, g=0.5, t1=10.0, extra=0)
         rho0 = initial_density(sc)
         cfg = IntegratorConfig(initial_step=0.1, abs_tol=1e-30, max_step=0.1)
         with pytest.raises(StepUnderflow):
-            integrate(rho0, [(StageKind.CAVITY1, 10.0)], [10.0], sc, cfg)
+            run_oracle(sc, [10.0], cfg, initial=rho0)
 
     def test_grid_validation(self):
         sc = Scenario().variant(n1=10, n2=10, alpha=0.4, beta=0.4)
         rho0 = initial_density(sc)
+        free = sc.variant(stage_durations=(0.0, 5.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            integrate(rho0, [(StageKind.FREE1, 5.0)], [6.0], sc)
+            run_oracle(free, [6.0], initial=rho0)
         with pytest.raises(ValueError):
-            integrate(rho0, [(StageKind.FREE1, 5.0)], [], sc)
+            run_oracle(free, [], initial=rho0)
         with pytest.raises(ValueError, match="finite"):
-            integrate(rho0, [(StageKind.FREE1, 5.0)], [0.0, math.nan], sc)
-        with pytest.raises(ValueError, match="finite"):
-            run_oracle(sc, [0.0, math.nan])
+            run_oracle(free, [0.0, math.nan], initial=rho0)
+
+    def test_initial_follows_run_scenario(self):
+        # None starts from initial_density; anything but a DensityMatrix is a TypeError
+        sc = margin_scenario(alpha=0.2, beta=0.2, g=0.1, q=0.1, extra=0)
+        rho0 = initial_density(sc)
+        a, b = (run_oracle(sc, [20.0], initial=start).states[0] for start in (None, rho0))
+        assert np.array_equal(a.data, b.data)
+        for runner in (run_oracle, run_scenario):
+            with pytest.raises(TypeError):
+                runner(sc, [20.0], initial=rho0.data)
 
 
 def count_integrator_hooks(monkeypatch) -> dict:
@@ -204,8 +213,12 @@ def count_integrator_hooks(monkeypatch) -> dict:
     The traced benchmark reads accepted steps from the third item of what
     ``_advance`` returns and counts step attempts as ``_rk4`` calls / 3.
     """
-    counts = {"rk4": 0, "advance": []}
-    rk4, advance = lindblad._rk4, lindblad._advance
+    counts = {"rk4": 0, "advance": [], "apply": 0}
+    rk4, advance, apply = lindblad._rk4, lindblad._advance, lindblad._StageGenerator.apply
+
+    def counted_apply(gen, rho):
+        counts["apply"] += 1
+        return apply(gen, rho)
 
     def counted_rk4(*args, **kwargs):
         counts["rk4"] += 1
@@ -218,6 +231,7 @@ def count_integrator_hooks(monkeypatch) -> dict:
 
     monkeypatch.setattr(lindblad, "_rk4", counted_rk4)
     monkeypatch.setattr(lindblad, "_advance", counted_advance)
+    monkeypatch.setattr(lindblad._StageGenerator, "apply", counted_apply)
     return counts
 
 
@@ -247,7 +261,10 @@ class TestStepControl:
         oracle = run_oracle(sc, times, cfg)
         steps = accepted_steps(counts)
         assert counts["rk4"] % 3 == 0
-        assert counts["rk4"] // 3 > steps  # at least one attempt was rejected
+        attempts = counts["rk4"] // 3
+        assert attempts > steps  # at least one attempt was rejected
+        # ten applies per attempt; k1 once per accepted step, kept through rejections
+        assert counts["apply"] == 10 * attempts + steps
         dense = run_scenario(sc, times)
         for a, b in zip(oracle.states, dense.states):
             assert trace_distance(a, b) < 1e-6
@@ -281,8 +298,7 @@ class TestOracleVsDense:
             stage_durations=(8.0, 3.0, 0.0, 3.0, 8.0),
         )
         times = np.sort(np.concatenate([sc.stage_times(), [2.5, 9.5, 17.0]]))
-        plan = list(zip(STAGE_ORDER, sc.stage_durations))
-        oracle = integrate(initial_density(sc), plan, times, sc, IntegratorConfig(abs_tol=1e-10))
+        oracle = run_oracle(sc, times, IntegratorConfig(abs_tol=1e-10), initial=initial_density(sc))
         dense = run_scenario(sc, times)
         for a, b in zip(oracle.states, dense.states):
             assert trace_distance(a, b) < 1e-6
