@@ -27,10 +27,11 @@ compressed onto the orthonormalized span of its coherent labels
 with the field labels in Fock coordinates or in label-isometry coordinates.
 
 Both backends run through one closed-form driver (:func:`_closed_form_run`):
-it steps every sample from its stage-start state and dresses lab snapshots
-afterwards.  It and :func:`cavsim.lindblad.run_oracle` walk a scenario's stages
-through one rotating-frame traversal (:func:`_traverse`), supplying a per-stage
-advance and an atomic rotation; all three take (scenario, sample times, initial).
+it steps each distinct sample time once from its stage-start state and dresses
+lab snapshots afterwards.  It and :func:`cavsim.lindblad.run_oracle` walk a
+scenario's stages through one rotating-frame traversal (:func:`_traverse`),
+supplying a per-stage advance and an atomic rotation; all three take
+(scenario, sample times, initial).
 
 Units: time in microseconds, angular frequencies in rad/us.  The conventional
 "kHz" experimental values map to 1e-3 rad/us.
@@ -39,6 +40,7 @@ Units: time in microseconds, angular frequencies in rad/us.  The conventional
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -265,6 +267,22 @@ def _f_coefficient(gamma: float, omega_lam: float, tau: float) -> complex:
     return 2.0 * gamma * tau * (1.0 - np.exp(-z)) / z
 
 
+@functools.lru_cache(maxsize=64)
+def _sqrt_binomials(d: int) -> np.ndarray:
+    """Read-only table sqrt(C(c, n)) at [n, c] for n <= c < d, zero below the diagonal."""
+    # sb[k, n] = sqrt(C(n+k, k)) for n = 0 .. d-1-k, by a running product
+    sb = np.zeros((d, d))
+    sb[0] = 1.0
+    for k in range(1, d):
+        ns = np.arange(d - k)
+        sb[k, : d - k] = sb[k - 1, : d - k] * np.sqrt((ns + k) / k)
+    rows, cols = np.triu_indices(d)
+    table = np.zeros((d, d))
+    table[rows, cols] = sb[cols - rows, rows]
+    table.flags.writeable = False
+    return table
+
+
 def _field_kernels(gamma: float, omega_k: float, lam: int, tau: float, d: int):
     """Per-offset triangular kernels of one field's dissipative factor.
 
@@ -272,74 +290,82 @@ def _field_kernels(gamma: float, omega_k: float, lam: int, tau: float, d: int):
     diagonal in the offset o = n - m.  kernels[o][j, j+k] carries
     F^k sqrt(C(n+k,k) C(m+k,k)) for (n, m) = (j+o, j), with the damping factor
     e^{-gamma tau (n+m)} folded into the rows; the same kernel serves offset
-    -o because the coefficient is symmetric in (n, m).
+    -o because the coefficient is symmetric in (n, m).  With c = j+k the two
+    roots are sqrt(C(c+o, j+o)) and sqrt(C(c, j)), so every kernel is a view
+    of one (d, d, d) product of the shared table.
     """
     f = _f_coefficient(gamma, omega_k * lam, tau)
     damp = np.exp(-gamma * tau * np.arange(d)) if gamma > 0 and tau > 0 else np.ones(d)
-    # sb[k, n] = sqrt(C(n+k, k)) for n = 0 .. d-1-k
-    sb = np.zeros((d, d))
-    sb[0] = 1.0
-    for k in range(1, d):
-        ns = np.arange(d - k)
-        sb[k, : d - k] = sb[k - 1, : d - k] * np.sqrt((ns + k) / k)
+    # root[n, c] = sqrt(C(c, n)) e^{-gamma tau n}, zero-padded to fit every window below
+    root = np.zeros((2 * d, 2 * d))
+    root[:d, :d] = _sqrt_binomials(d) * damp[:, None]
     fpow = np.empty(d, dtype=complex)
     fpow[0] = 1.0
     fpow[1:] = f
     np.cumprod(fpow, out=fpow)
-    kernels = []
-    for o in range(d):
-        length = d - o
-        js, cols = np.triu_indices(length)
-        ks = cols - js
-        kern = np.zeros((length, length), dtype=complex)
-        kern[js, cols] = fpow[ks] * sb[ks, js + o] * sb[ks, js]
-        kern *= (damp[o:] * damp[:length])[:, None]
-        kernels.append(kern)
-    return kernels
+    ks = np.arange(d)
+    # head[j, c] = F^(c-j) sqrt(C(c, j)) e^{-gamma tau j}, zero below the diagonal
+    head = root[:d, :d] * fpow[np.abs(ks[None, :] - ks[:, None])]
+    # windows[o] = root[o:o+d, o:o+d]: zero wherever c + o >= d, outside kernel o
+    s0, s1 = root.strides
+    windows = np.lib.stride_tricks.as_strided(
+        root, (d, d, d), (s0 + s1, s0, s1), writeable=False
+    )
+    kernels = head * windows
+    return [kernels[o, : d - o, : d - o] for o in range(d)]
 
 
-def _apply_field_kernels(block: np.ndarray, kernels) -> np.ndarray:
-    """Apply one field's per-offset kernels to a block laid out as (n, m, rest).
+def _apply_field_kernels(src: np.ndarray, kernels, out: np.ndarray) -> None:
+    """Apply one field's per-offset kernels to ``src`` laid out as (n, m, rest), into ``out``.
 
     Flattened to (n m, rest), the offset-o diagonal (n, m) = (j+o, j) is the row
     slice o d :: d+1 and (j, j+o) is o :: d+1, so each kernel multiplies a
-    strided row view with contiguous rest entries.
+    strided row view with contiguous rest entries and writes its rows of ``out``.
     """
-    d = block.shape[0]
-    src = block.reshape(d * d, -1)
-    out = np.empty_like(src)
+    d = src.shape[0]
+    src, out = src.reshape(d * d, -1), out.reshape(d * d, -1)
     for o in range(d):
         for start in (o * d, o) if o else (0,):
             rows = slice(start, start + (d - o - 1) * (d + 1) + 1, d + 1)
-            out[rows] = kernels[o] @ src[rows]
-    return out.reshape(block.shape)
+            np.matmul(kernels[o], src[rows], out=out[rows])
 
 
 def dissipative_map(
     rho: DensityMatrix, stage: StageKind, tau: float, scenario: Scenario
 ) -> DensityMatrix:
-    """Exact dissipative factor of the stage propagator (jump series, then damping)."""
+    """Exact dissipative factor of the stage propagator (jump series, then damping).
+
+    A field without loss (or a zero step) has the identity kernel and is skipped.
+    """
     if tau < 0:
         raise ValueError("tau must be non-negative")
     d1, d2 = rho.layout.dims[1], rho.layout.dims[2]
     w1k, w2k = scenario.omega_active(stage)
+    fields = ((scenario.gamma_1, w1k, d1), (scenario.gamma_2, w2k, d2))
+    # kernels[lam] per field, None for the identity kernel (no loss, or tau = 0)
+    kernels = {
+        lam: [_field_kernels(gamma, w, lam, tau, d) if gamma > 0 and tau > 0 else None
+              for gamma, w, d in fields]
+        for lam in (0, 2)
+    }
     r = rho.data.reshape(2, d1, d2, 2, d1, d2)
     out = np.empty_like(r)
-    kernels: dict = {}
+    # two work buffers of one dyad block, shared by every block and both fields:
+    # a field's input is gathered into ``src`` and its kernels write ``dst``
+    src, dst = np.empty(2 * (d1 * d2) ** 2, dtype=complex).reshape(2, -1)
     for s, sp in ((EXCITED, EXCITED), (GROUND, GROUND), (EXCITED, GROUND)):
-        lam = 2 * (sp - s)
-        if lam not in kernels:
-            kernels[lam] = (
-                _field_kernels(scenario.gamma_1, w1k, lam, tau, d1),
-                _field_kernels(scenario.gamma_2, w2k, lam, tau, d2),
-            )
-        k1, k2 = kernels[lam]
-        # field 1 acts on (n1, m1) with rest (n2, m2), then field 2 on (n2, m2)
-        b = r[s, :, :, sp, :, :].transpose(0, 2, 1, 3).reshape(d1, d1, d2 * d2)
-        b = _apply_field_kernels(b, k1).reshape(d1, d1, d2, d2)
-        b = np.ascontiguousarray(b.transpose(2, 3, 0, 1)).reshape(d2, d2, d1 * d1)
-        b = _apply_field_kernels(b, k2)
-        out[s, :, :, sp, :, :] = b.reshape(d2, d2, d1, d1).transpose(2, 0, 3, 1)
+        k1, k2 = kernels[2 * (sp - s)]
+        # b is laid out (n1, n2, m1, m2); field 1 acts on (n1, m1), then field 2 on (n2, m2)
+        b = r[s, :, :, sp, :, :]
+        if k1 is not None:
+            np.copyto(src.reshape(d1, d1, d2, d2), b.transpose(0, 2, 1, 3))
+            _apply_field_kernels(src.reshape(d1, d1, d2 * d2), k1, dst)
+            b = dst.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3)
+        if k2 is not None:
+            np.copyto(src.reshape(d2, d2, d1, d1), b.transpose(1, 3, 0, 2))
+            _apply_field_kernels(src.reshape(d2, d2, d1 * d1), k2, dst)
+            b = dst.reshape(d2, d2, d1, d1).transpose(2, 0, 3, 1)
+        out[s, :, :, sp, :, :] = b
     # the (g, e) block is fixed by Hermiticity of the input; together with the
     # real diagonal-dyad kernels this preserves Hermiticity by construction
     eg = out[EXCITED, :, :, GROUND, :, :]
@@ -371,8 +397,10 @@ def _dress(rho: DensityMatrix, scenario: Scenario, t: float) -> DensityMatrix:
 def _rotate_atom(rho: DensityMatrix, theta: float) -> DensityMatrix:
     """Conjugate the atom of rho by the Ramsey rotation of pulse area theta."""
     r2, rest = ramsey_unitary(theta), rho.layout.dims[1] * rho.layout.dims[2]
-    t = rho.data.reshape(2, rest, 2, rest)
-    data = np.einsum("ab,bjck,dc->ajdk", r2, t, r2.conj()).reshape(2 * rest, 2 * rest)
+    # R on the row atom index is one product; R* on the column atom index is a
+    # batch of 2 x 2 products, one per (row, field column)
+    left = (r2 @ rho.data.reshape(2, -1)).reshape(2 * rest, 2, rest)
+    data = np.matmul(r2.conj(), left).reshape(2 * rest, 2 * rest)
     return DensityMatrix(rho.layout, data)
 
 
@@ -380,6 +408,9 @@ def _ramsey_area(scenario: Scenario, tau: float) -> float:
     """Pulse area accumulated after tau inside a Ramsey stage of nonzero duration."""
     duration = scenario.stage_durations[2]
     return scenario.ramsey_angle * (tau / duration) if duration > 0 else 0.0
+
+
+PHASE_ROWS = 32  # rows per block of the dispersive phases, small enough to stay in cache
 
 
 def stage_step(
@@ -398,8 +429,12 @@ def stage_step(
             shape[axis] = dims[axis]
             ph = np.stack(_dispersive_phases(omega, tau, dims[axis])).reshape(shape)
             ph = np.broadcast_to(ph, dims).reshape(-1)
-            data *= ph[:, None]
-            data *= ph.conj()[None, :]
+            phc = ph.conj()
+            # row and column phases per block of rows, in one pass over the matrix
+            for i in range(0, len(ph), PHASE_ROWS):
+                block = data[i : i + PHASE_ROWS]
+                block *= ph[i : i + PHASE_ROWS, None]
+                block *= phc
     if stage is StageKind.RAMSEY and (theta := _ramsey_area(scenario, tau)):
         return _rotate_atom(out, theta)
     return out
@@ -517,17 +552,25 @@ def _closed_form_run(scenario: Scenario, sample_times, state, step, rotate, dres
     """The one driver of the closed-form backends (dense and coherent-branch).
 
     Each sample is ``step(state, stage, tau, scenario)`` from its stage-start
-    state, and a zero-duration Ramsey stage is ``rotate(state, ramsey_angle)``
-    (see :func:`_traverse`).  In lab mode the traversal runs in the rotating
-    frame and each snapshot at t > 0 is ``dress(state, scenario, t)``, the free
-    phases accumulated since t0: referencing the Ramsey drive phase to t0
-    keeps the two frames related by a local unitary (dressing stage by stage
-    would tilt the pulse axis by the atomic phase accumulated before the
-    Ramsey zone, which no measured quantity here can resolve).
+    state, made once per distinct elapsed time tau > 0 (compared as exact
+    floats): samples at equal times share one state, and a sample on a stage's
+    end is the very state that starts the next stage (so no snapshot may be
+    modified in place).  A zero-duration Ramsey stage is
+    ``rotate(state, ramsey_angle)`` (see :func:`_traverse`).  In lab mode the
+    traversal runs in the rotating frame and each snapshot at t > 0 is
+    ``dress(state, scenario, t)``, the free phases accumulated since t0:
+    referencing the Ramsey drive phase to t0 keeps the two frames related by a
+    local unitary (dressing stage by stage would tilt the pulse axis by the
+    atomic phase accumulated before the Ramsey zone, which no measured quantity
+    here can resolve).
     """
 
     def advance(st, stage, taus):
-        return [step(st, stage, float(tau), scenario) if tau > 0 else st for tau in taus]
+        stepped: dict = {}
+        for tau in map(float, taus):
+            if tau > 0 and tau not in stepped:
+                stepped[tau] = step(st, stage, tau, scenario)
+        return [stepped.get(float(tau), st) for tau in taus]
 
     times, states = _traverse(scenario, sample_times, state, advance, rotate)
     if scenario.frame == "lab":

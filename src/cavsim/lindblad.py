@@ -192,6 +192,8 @@ def run_oracle(
 
     def advance(rho, stage, taus):
         # one pass through the stage; taus ends with the stage duration
+        if taus[-1] == 0:  # a zero-duration stage takes no step and needs no generator
+            return [rho] * len(taus)
         gen = _StageGenerator(scenario, stage, rho.layout.dims)
         states, _, _ = _advance(gen, rho.data, np.clip(taus, 0.0, taus[-1]), config)
         return [DensityMatrix(rho.layout, data) for data in states]

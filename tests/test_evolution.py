@@ -9,6 +9,7 @@ from cavsim import (
     BranchState,
     ConfigError,
     DensityMatrix,
+    NonPhysicalState,
     Scenario,
     StageKind,
     UnsupportedInitialState,
@@ -17,6 +18,7 @@ from cavsim import (
     dispersive_unitary,
     dispersive_validity,
     dissipative_map,
+    evolution,
     initial_density,
     mean_photon_number,
     pairwise_concurrences,
@@ -30,7 +32,16 @@ from cavsim import (
 )
 from cavsim.analytic import coherence_factor
 from cavsim.evolution import BranchState as BS
-from cavsim.evolution import _term_structure, branch_compress, branch_densify, branch_step
+from cavsim.evolution import (
+    STAGE_ORDER,
+    _branch_rotate,
+    _field_kernels,
+    _rotate_atom,
+    _term_structure,
+    branch_compress,
+    branch_densify,
+    branch_step,
+)
 from cavsim.hilbert import coherent_overlap, coherent_vector
 from cavsim.validation import CONCURRENCES, FRAME_TOL, SEMIGROUP_TOL
 from cavsim.validation import _frame_shift, _record_gap, _semigroup_gap
@@ -157,6 +168,52 @@ class TestDissipativeMap:
         rho = initial_density(sc)
         out = dissipative_map(rho, StageKind.CAVITY1, 12.0, sc)
         assert abs(out.trace() - 1.0) < 1e-10
+
+
+def loop_field_kernels(gamma, omega_k, lam, tau, d):
+    """Reference: each offset kernel filled entry by entry from the running sqrt-binomials."""
+    f = evolution._f_coefficient(gamma, omega_k * lam, tau)
+    damp = np.exp(-gamma * tau * np.arange(d)) if gamma > 0 and tau > 0 else np.ones(d)
+    sb = np.zeros((d, d))
+    sb[0] = 1.0
+    for k in range(1, d):
+        ns = np.arange(d - k)
+        sb[k, : d - k] = sb[k - 1, : d - k] * np.sqrt((ns + k) / k)
+    fpow = np.empty(d, dtype=complex)
+    fpow[0] = 1.0
+    fpow[1:] = f
+    np.cumprod(fpow, out=fpow)
+    kernels = []
+    for o in range(d):
+        length = d - o
+        js, cols = np.triu_indices(length)
+        ks = cols - js
+        kern = np.zeros((length, length), dtype=complex)
+        kern[js, cols] = fpow[ks] * sb[ks, js + o] * sb[ks, js]
+        kern *= (damp[o:] * damp[:length])[:, None]
+        kernels.append(kern)
+    return kernels
+
+
+class TestDenseKernels:
+    @pytest.mark.parametrize("d", [1, 2, 12, 27])
+    @pytest.mark.parametrize("lam", [0, 2, -2])
+    @pytest.mark.parametrize("gamma, tau", [(0.03, 17.0), (6.25e-3, 1000.0), (0.0, 17.0), (0.03, 0.0)])
+    def test_field_kernels_match_offset_loop(self, d, lam, gamma, tau):
+        got = _field_kernels(gamma, 0.2, lam, tau, d)
+        want = loop_field_kernels(gamma, 0.2, lam, tau, d)
+        assert len(got) == d
+        for o, (a, b) in enumerate(zip(got, want)):
+            assert a.shape == b.shape == (d - o, d - o)
+            assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b)), o
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 2])
+    def test_rotate_atom_is_explicit_conjugation(self, rng, theta):
+        layout = standard_layout(3, 4)
+        rho = DensityMatrix(layout, random_density(rng, layout.dim))
+        r = np.kron(ramsey_unitary(theta), np.eye(layout.dim // 2))
+        got = _rotate_atom(rho, theta).data
+        assert np.max(np.abs(got - r @ rho.data @ r.conj().T)) < 1e-15
 
 
 class TestStageStep:
@@ -432,6 +489,94 @@ class TestTraversal:
         assert _record_gap(branch, dense, RECORD_FIELDS) < 1e-9
 
 
+def stepwise_snapshots(sc: Scenario, times, start, step, rotate) -> list:
+    """Reference snapshots: each sample stepped on its own from its stage-start state."""
+    bounds, starts, state = sc.stage_times(), [], start
+    for stage, duration in zip(STAGE_ORDER, sc.stage_durations):
+        starts.append(state)
+        if duration > 0:
+            state = step(state, stage, duration, sc)
+        elif stage is StageKind.RAMSEY:
+            state = rotate(state, sc.ramsey_angle)
+    snapshots = []
+    for t in times:
+        k = min(int(np.searchsorted(bounds[1:], t, side="left")), len(STAGE_ORDER) - 1)
+        tau = float(t - bounds[k])
+        snapshots.append(step(starts[k], STAGE_ORDER[k], tau, sc) if tau > 0 else starts[k])
+    return snapshots
+
+
+def record_steps(monkeypatch, attr: str) -> list:
+    """Replace ``evolution.<attr>`` by a wrapper that logs (stage, tau) of every call."""
+    step, calls = getattr(evolution, attr), []
+
+    def logged(state, stage, tau, scenario):
+        calls.append((stage, tau))
+        return step(state, stage, tau, scenario)
+
+    monkeypatch.setattr(evolution, attr, logged)
+    return calls
+
+
+class TestOneStepPerTime:
+    """The closed-form driver steps each distinct elapsed time of a stage once."""
+
+    @pytest.mark.parametrize(
+        "runner, attr, start, rotate, same",
+        [
+            (run_scenario, "stage_step", initial_density, _rotate_atom,
+             lambda a, b: np.array_equal(a.data, b.data)),
+            (branch_run, "branch_step", BS.from_scenario, _branch_rotate,
+             lambda a, b: a.terms == b.terms),
+        ],
+        ids=["dense", "branch"],
+    )
+    @pytest.mark.parametrize("ramsey", [10.0, 0.0])
+    def test_stage_ends_share_their_step(self, monkeypatch, runner, attr, start, rotate, same, ramsey):
+        sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0, phi=0.8)
+        sc = sc.variant(stage_durations=(30.0, 10.0, ramsey, 10.0, 30.0))
+        times = sc.stage_times()
+        step = getattr(evolution, attr)
+        calls = record_steps(monkeypatch, attr)
+        traj = runner(sc, times)
+        monkeypatch.undo()
+        # every sample sits on a stage end, so each stage steps only its duration
+        assert calls == [(s, d) for s, d in zip(STAGE_ORDER, sc.stage_durations) if d > 0]
+        expected = stepwise_snapshots(sc, times, start(sc), step, rotate)
+        assert all(same(a, b) for a, b in zip(traj.states, expected))
+
+    def test_samples_inside_stages_one_step_each(self, monkeypatch):
+        sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0)
+        # duplicates, a sample on an inner stage end, one at -1e-12
+        times = [-1e-12, 5.0, 5.0, 30.0, 35.0, 40.0, 40.0, 72.0]
+        step = evolution.stage_step
+        calls = record_steps(monkeypatch, "stage_step")
+        traj = run_scenario(sc, times)
+        monkeypatch.undo()
+        C, F1, R, F2, C2 = STAGE_ORDER
+        assert calls == [(C, 5.0), (C, 30.0), (F1, 5.0), (F1, 10.0), (R, 10.0), (F2, 10.0),
+                         (C2, 12.0), (C2, 30.0)]
+        expected = stepwise_snapshots(sc, times, initial_density(sc), step, _rotate_atom)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(traj.states, expected))
+
+
+def frame_check(sc: Scenario, times) -> tuple[int, float]:
+    """(snapshots failing ``validate()``, record gap) of sc's rotating- and lab-frame runs.
+
+    Only scalars leave this function, so the traceback of a failing hypothesis
+    example keeps no trajectory alive while the example shrinks.
+    """
+    rot = run_scenario(sc, times)
+    lab = run_scenario(sc.variant(frame="lab"), times)
+    invalid = 0
+    for state in rot.states + lab.states:
+        try:
+            state.validate()
+        except NonPhysicalState:
+            invalid += 1
+    return invalid, _record_gap(rot.records(), lab.records(), RECORD_FIELDS)
+
+
 class TestRandomScenarios:
     """Invariants on random scenarios, not only on the hand-picked grid."""
 
@@ -448,12 +593,9 @@ class TestRandomScenarios:
         sc = Scenario().variant(
             g=g, q=q, phi=phi, alpha=alpha, beta=beta, stage_durations=durations
         )
-        times = sc.stage_times()
-        rot = run_scenario(sc, times)
-        lab = run_scenario(sc.variant(frame="lab"), times)
-        for state in rot.states + lab.states:
-            state.validate()
-        assert _record_gap(rot.records(), lab.records(), RECORD_FIELDS) < FRAME_TOL
+        invalid, gap = frame_check(sc, sc.stage_times())
+        assert invalid == 0
+        assert gap < FRAME_TOL
 
 
 class TestFrames:

@@ -269,6 +269,19 @@ class TestStepControl:
         for a, b in zip(oracle.states, dense.states):
             assert trace_distance(a, b) < 1e-6
 
+    def test_zero_duration_stages_build_no_generator(self, monkeypatch):
+        built = []
+
+        class CountedGenerator(lindblad._StageGenerator):
+            def __init__(self, scenario, stage, dims):
+                built.append(stage)
+                super().__init__(scenario, stage, dims)
+
+        monkeypatch.setattr(lindblad, "_StageGenerator", CountedGenerator)
+        sc = stage1_scenario(alpha=0.5, g=0.5, t1=8.0, extra=0)
+        run_oracle(sc, [0.0, 4.0, 8.0], IntegratorConfig(abs_tol=1e-9))
+        assert built == [StageKind.CAVITY1]
+
     def test_many_samples_one_pass(self):
         # duplicates, samples 1e-13 apart and ten samples inside cavity 1
         sc = margin_scenario(alpha=0.2, beta=0.2, g=0.3, q=0.2, extra=0)
