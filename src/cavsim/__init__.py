@@ -54,14 +54,12 @@ from .hilbert import (
     PureState,
     SubsystemLayout,
     coherent_overlap,
-    coherent_state,
     mean_photon_number,
     partial_trace,
     photon_number_distribution,
     standard_layout,
-    tensor_product,
     trace_distance,
 )
-from .lindblad import IntegratorConfig, liouvillian_apply, run_oracle
+from .lindblad import IntegratorConfig, run_oracle
 
 __version__ = "0.1.0"

@@ -524,7 +524,9 @@ def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
     state and the elapsed times of the stage's samples followed by the stage
     duration, and returns one state per entry; the last one starts the next
     stage.  After its samples, a zero-duration Ramsey stage applies the full
-    pulse area at once through ``rotate(state, scenario.ramsey_angle)``.
+    pulse area at once through ``rotate(state, scenario.ramsey_angle)``.  The
+    walk stops at the last sample: its stage receives only the samples' elapsed
+    times, and no later stage is advanced or rotated.
     """
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if times.size == 0:
@@ -540,8 +542,11 @@ def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
     stage_of = np.minimum(np.searchsorted(bounds[1:], times, side="left"), len(STAGE_ORDER) - 1)
     snapshots: list = []
     for k, (stage, duration) in enumerate(zip(STAGE_ORDER, scenario.stage_durations)):
-        taus = np.append(times[stage_of == k] - bounds[k], duration)
-        *samples, state = advance(state, stage, taus)
+        taus = times[stage_of == k] - bounds[k]
+        if k == stage_of[-1]:  # the walk ends at the last sample
+            snapshots.extend(advance(state, stage, taus))
+            break
+        *samples, state = advance(state, stage, np.append(taus, duration))
         snapshots.extend(samples)
         if duration == 0 and stage is StageKind.RAMSEY and scenario.ramsey_angle != 0.0:
             state = rotate(state, scenario.ramsey_angle)
@@ -620,9 +625,6 @@ class BranchState:
                 w = amps[s] * np.conj(amps[sp])
                 terms[(s, sp)] = [[w, scenario.alpha, scenario.alpha, scenario.beta, scenario.beta]]
         return BranchState(terms)
-
-    def branch_count(self) -> int:
-        return max(len(v) for v in self.terms.values())
 
 
 def _branch_rotate(bs: BranchState, theta: float) -> BranchState:

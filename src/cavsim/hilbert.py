@@ -1,5 +1,5 @@
 """Finite-dimensional states and operators: truncated Fock modes, coherent states,
-tensor composition, partial traces and distance/statistics helpers.
+partial traces and distance/statistics helpers.
 
 Conventions used throughout the package:
 
@@ -10,7 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -146,38 +145,9 @@ def coherent_vector(amplitude: complex, truncation: int, tail_tol: float = 1e-10
     return c / math.sqrt(kept)
 
 
-def coherent_state(amplitude: complex, truncation: int, label: str = "field") -> PureState:
-    """Truncated coherent state ``|amplitude>`` on a single mode."""
-    layout = SubsystemLayout((truncation + 1,), (label,))
-    return PureState(layout, coherent_vector(amplitude, truncation))
-
-
 def coherent_overlap(a: complex, b: complex) -> complex:
     """Exact (untruncated) overlap ``<a|b>`` of two coherent states."""
     return complex(np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b))
-
-
-def tensor_product(factors):
-    """Kronecker composite of states or operators, atom-first ordering.
-
-    Accepts a sequence of :class:`PureState`, of :class:`DensityMatrix`, or of
-    plain square arrays; the layout of composite states is the concatenation of
-    the factor layouts.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one factor")
-    for kind, attr in ((PureState, "amplitudes"), (DensityMatrix, "data")):
-        if all(isinstance(f, kind) for f in factors):
-            layout = _concat_layouts([f.layout for f in factors])
-            return kind(layout, functools.reduce(np.kron, [getattr(f, attr) for f in factors]))
-    return functools.reduce(np.kron, [np.asarray(f) for f in factors])
-
-
-def _concat_layouts(layouts):
-    dims = tuple(d for lay in layouts for d in lay.dims)
-    labels = tuple(lab for lay in layouts for lab in lay.labels)
-    return SubsystemLayout(dims, labels)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -213,7 +183,12 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the trace norm of rho - sigma."""
     if rho.layout.dims != sigma.layout.dims:
         raise ValueError("states live on different layouts")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho.data - sigma.data))))
+    return half_trace_norm(rho.data - sigma.data)
+
+
+def half_trace_norm(delta: np.ndarray) -> float:
+    """Half the trace norm of the Hermitian matrix delta: 0.5 * sum |eigenvalues|."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
 
 
 def trace_distance_below(rho: DensityMatrix, sigma: DensityMatrix, bound: float) -> bool:

@@ -102,11 +102,6 @@ class _StageGenerator:
         return out
 
 
-def liouvillian_apply(rho: DensityMatrix, stage: StageKind, scenario: Scenario) -> np.ndarray:
-    """Instantaneous generator action d rho/dt for the given stage (rotating frame)."""
-    return _StageGenerator(scenario, stage, rho.layout.dims).apply(rho.data)
-
-
 def _rk4(
     gen: _StageGenerator, rho: np.ndarray, h: float, k1: np.ndarray | None = None
 ) -> np.ndarray:
@@ -191,11 +186,12 @@ def run_oracle(
     state = _density_start(scenario, initial)
 
     def advance(rho, stage, taus):
-        # one pass through the stage; taus ends with the stage duration
-        if taus[-1] == 0:  # a zero-duration stage takes no step and needs no generator
+        # one pass through the stage, up to its last entry
+        targets = np.clip(taus, 0.0, scenario.stage_durations[stage.value])
+        if targets[-1] == 0:  # nothing to integrate (e.g. a zero-duration stage): no generator
             return [rho] * len(taus)
         gen = _StageGenerator(scenario, stage, rho.layout.dims)
-        states, _, _ = _advance(gen, rho.data, np.clip(taus, 0.0, taus[-1]), config)
+        states, _, _ = _advance(gen, rho.data, targets, config)
         return [DensityMatrix(rho.layout, data) for data in states]
 
     times, states = _traverse(scenario, sample_times, state, advance, _rotate_atom)

@@ -5,12 +5,17 @@ the first cavity in a few seconds.  ``full`` re-runs the branch-vs-dense
 certification over the whole experimental grid, certifies the dense backend
 against the brute-force integrator and adds :func:`invariant_checks`.  Each
 invariant is measured by one private helper here; the checks choose the grids.
+Every exact eigen-solve runs through :func:`_eigen_map`, ``EIGEN_WORKERS`` at a
+time on threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +31,7 @@ from .evolution import (
     run_scenario,
     stage_step,
 )
-from .hilbert import trace_distance, trace_distance_below
+from .hilbert import half_trace_norm, trace_distance, trace_distance_below
 
 CERT_GRID = (0.0, 0.05, 0.5, 1.0)
 CERT_AMPLITUDES = (0.5, 1.0, 2.0)
@@ -43,6 +48,7 @@ SEMIGROUP_TOL = 1e-9  # trace distance of one step and two split steps
 MIN_CKW_RESIDUAL = -1e-6  # most negative CKW monogamy residual accepted as roundoff
 INVARIANT_MARGIN = 5  # Fock cutoffs above the default rule for the invariant suites
 SEMIGROUP_STAGES = (StageKind.CAVITY1, StageKind.FREE1, StageKind.RAMSEY, StageKind.CAVITY2)
+EIGEN_WORKERS = 2  # eigen-solves in flight at once (LAPACK releases the GIL)
 
 
 @dataclass(frozen=True)
@@ -67,13 +73,36 @@ def _with_margin(sc: Scenario, margin: int = CERT_MARGIN) -> Scenario:
     return sc.variant(n1=n1, n2=n2)
 
 
+def _eigen_map(fn, items):
+    """Yield fn(item) for each item of the (lazy) iterable, in input order.
+
+    The calls run EIGEN_WORKERS at a time on threads.  Each eigen-solve runs on
+    one BLAS thread whichever thread calls it, so the values are those of a
+    plain loop.  An item is pulled only when the result EIGEN_WORKERS places
+    before it is taken, so a generator of D x D matrices has at most
+    EIGEN_WORKERS of them waiting.  An exception from fn is raised when its
+    result is reached.
+    """
+    items = iter(items)
+    with ThreadPoolExecutor(EIGEN_WORKERS) as pool:
+        pending = deque(pool.submit(fn, item) for item in itertools.islice(items, EIGEN_WORKERS))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+            yield result
+
+
+def _trace_distance_of(pair) -> float:
+    return trace_distance(*pair)
+
+
+def _lowest_eigenvalue(st) -> float:
+    return float(np.linalg.eigvalsh(st.validate().data)[0])
+
+
 def _min_eigenvalue(states) -> float:
     """Smallest eigenvalue of the states (0 if none is negative); each is validated first."""
-    worst = 0.0
-    for st in states:
-        st.validate()
-        worst = min(worst, float(np.linalg.eigvalsh(st.data)[0]))
-    return worst
+    return min([0.0, *_eigen_map(_lowest_eigenvalue, states)])
 
 
 def _frame_shift(sc: Scenario, times) -> float:
@@ -86,12 +115,9 @@ def _frame_shift(sc: Scenario, times) -> float:
 def _semigroup_gap(sc: Scenario, stages=SEMIGROUP_STAGES) -> float:
     """Largest trace distance of stage_step(9 us) and stage_step(5 us) after stage_step(4 us)."""
     rho = initial_density(sc)
-    worst = 0.0
-    for stage in stages:
-        one = stage_step(rho, stage, 9.0, sc)
-        two = stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc)
-        worst = max(worst, trace_distance(one, two))
-    return worst
+    one = (stage_step(rho, stage, 9.0, sc) for stage in stages)
+    two = (stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc) for stage in stages)
+    return max([0.0, *_eigen_map(_trace_distance_of, zip(one, two))])
 
 
 def _ckw_residual(states) -> float:
@@ -105,18 +131,34 @@ def _stage1_scenario(alpha, g, t1: float = 1000.0) -> Scenario:
     return _with_margin(sc.variant(stage_durations=(t1, 0.0, 0.0, 0.0, 0.0)))
 
 
+def _stage1_differences(sc: Scenario, times):
+    """Yield analytic - dense, then dense - branch, at each sample of sc.
+
+    Each sample runs on its own (a stage-1 sample is one step from the initial
+    state, whatever the other samples), each difference is formed in place in
+    the matrix just built, and the dense snapshot is dropped once both of its
+    differences exist.
+    """
+    for t in map(float, times):
+        dense = run_scenario(sc, [t]).states[0].data
+        delta = analytic.rho_stage1(t, sc).data
+        delta -= dense
+        yield delta
+        del delta  # the frame keeps no difference alive while the next is built
+        delta = branch_run(sc, [t]).dense_state(0).data
+        yield np.subtract(dense, delta, out=delta)
+        del delta, dense
+
+
 def stage1_equivalence(alphas, gs, times) -> list[CheckResult]:
     """Analytic vs dense vs branch on the first cavity."""
     worst_ad = worst_bd = 0.0
     for alpha in alphas:
         for g in gs:
             sc = _stage1_scenario(alpha, g, t1=float(max(times)))
-            dense = run_scenario(sc, times)
-            branch = branch_run(sc, times)
-            for i, t in enumerate(times):
-                ref = analytic.rho_stage1(float(t), sc)
-                worst_ad = max(worst_ad, trace_distance(ref, dense.states[i]))
-                worst_bd = max(worst_bd, trace_distance(dense.states[i], branch.dense_state(i)))
+            dists = list(_eigen_map(half_trace_norm, _stage1_differences(sc, times)))
+            worst_ad = max(worst_ad, *dists[0::2])
+            worst_bd = max(worst_bd, *dists[1::2])
     return [
         _bounded(f"{name} (stage 1)", "worst trace distance", worst, worst < STATE_TOL, STATE_TOL)
         for name, worst in (("analytic-vs-dense", worst_ad), ("branch-vs-dense", worst_bd))
@@ -193,7 +235,7 @@ def oracle_certification() -> CheckResult:
     t0 = time.perf_counter()
     dense = run_scenario(sc, times)
     oracle = lindblad.run_oracle(sc, times)
-    worst = max(trace_distance(a, b) for a, b in zip(dense.states, oracle.states))
+    worst = max(_eigen_map(_trace_distance_of, zip(dense.states, oracle.states)))
     elapsed = time.perf_counter() - t0
     detail = f"worst trace distance {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s"
     return CheckResult("dense-vs-oracle (5 stages)", worst < ORACLE_TOL, detail)

@@ -9,6 +9,7 @@ from cavsim import (
     BranchState,
     ConfigError,
     DensityMatrix,
+    IntegratorConfig,
     NonPhysicalState,
     Scenario,
     StageKind,
@@ -20,6 +21,7 @@ from cavsim import (
     dissipative_map,
     evolution,
     initial_density,
+    lindblad,
     mean_photon_number,
     pairwise_concurrences,
     ramsey_unitary,
@@ -338,7 +340,7 @@ class TestBranchBackend:
     def test_branch_count_bounded_by_four(self):
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.05, q=0.05)
         traj = branch_run(sc, [sc.total_time()])
-        assert traj.states[0].branch_count() <= 4
+        assert max(len(v) for v in traj.states[0].terms.values()) <= 4
 
     def test_sample_grid_validation(self):
         sc = Scenario()
@@ -554,10 +556,64 @@ class TestOneStepPerTime:
         traj = run_scenario(sc, times)
         monkeypatch.undo()
         C, F1, R, F2, C2 = STAGE_ORDER
+        # the walk ends at the last sample: cavity 2 is not stepped on to its end
         assert calls == [(C, 5.0), (C, 30.0), (F1, 5.0), (F1, 10.0), (R, 10.0), (F2, 10.0),
-                         (C2, 12.0), (C2, 30.0)]
+                         (C2, 12.0)]
         expected = stepwise_snapshots(sc, times, initial_density(sc), step, _rotate_atom)
         assert all(np.array_equal(a.data, b.data) for a, b in zip(traj.states, expected))
+
+
+class TestWalkEndsAtLastSample:
+    """No runner advances or rotates past its last sample (counted at the module
+    attributes the runners look up)."""
+
+    SC = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0, phi=0.8).variant(
+        stage_durations=(30.0, 10.0, 0.0, 10.0, 30.0)
+    )
+    TIMES = [0.0, 10.0, 20.0]  # inside cavity 1; the zero-duration Ramsey kick comes later
+
+    @pytest.mark.parametrize(
+        "runner, attr, rotate, same",
+        [
+            (run_scenario, "stage_step", "_rotate_atom",
+             lambda a, b: np.array_equal(a.data, b.data)),
+            (branch_run, "branch_step", "_branch_rotate", lambda a, b: a.terms == b.terms),
+        ],
+        ids=["dense", "branch"],
+    )
+    def test_closed_form_runners(self, monkeypatch, runner, attr, rotate, same):
+        full = runner(self.SC, self.TIMES + [self.SC.total_time()])
+        calls = record_steps(monkeypatch, attr)
+        rotations = []
+        rotate_fn = getattr(evolution, rotate)
+        monkeypatch.setattr(
+            evolution, rotate, lambda st, theta: rotations.append(theta) or rotate_fn(st, theta)
+        )
+        traj = runner(self.SC, self.TIMES)
+        monkeypatch.undo()
+        assert calls == [(StageKind.CAVITY1, 10.0), (StageKind.CAVITY1, 20.0)]
+        assert rotations == []
+        assert all(same(a, b) for a, b in zip(traj.states, full.states))
+
+    def test_oracle(self, monkeypatch):
+        cfg = IntegratorConfig(abs_tol=1e-9)
+        full = run_oracle(self.SC, self.TIMES + [self.SC.total_time()], cfg)
+        targets, rotations = [], []
+        advance, rotate = lindblad._advance, lindblad._rotate_atom
+
+        def counted_advance(gen, rho, stage_targets, config):
+            targets.append(list(stage_targets))
+            return advance(gen, rho, stage_targets, config)
+
+        monkeypatch.setattr(lindblad, "_advance", counted_advance)
+        monkeypatch.setattr(
+            lindblad, "_rotate_atom", lambda st, theta: rotations.append(theta) or rotate(st, theta)
+        )
+        traj = run_oracle(self.SC, self.TIMES, cfg)
+        monkeypatch.undo()
+        assert targets == [self.TIMES]
+        assert rotations == []
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(traj.states, full.states))
 
 
 def frame_check(sc: Scenario, times) -> tuple[int, float]:

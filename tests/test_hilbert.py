@@ -10,12 +10,10 @@ from cavsim import (
     SubsystemLayout,
     TruncationTooSmall,
     coherent_overlap,
-    coherent_state,
     mean_photon_number,
     partial_trace,
     photon_number_distribution,
     standard_layout,
-    tensor_product,
     trace_distance,
 )
 from cavsim.hilbert import coherent_vector
@@ -25,6 +23,12 @@ from conftest import random_density
 
 def dm(layout, mat):
     return DensityMatrix(layout, np.asarray(mat, dtype=complex))
+
+
+def coherent(amplitude, truncation, label="field"):
+    """Single-mode PureState of the truncated coherent vector."""
+    layout = SubsystemLayout((truncation + 1,), (label,))
+    return PureState(layout, coherent_vector(amplitude, truncation))
 
 
 def qubit_layout(n=1):
@@ -45,13 +49,12 @@ class TestLayout:
 
 class TestCoherentState:
     def test_vacuum(self):
-        st = coherent_state(0.0, 10)
         expected = np.zeros(11)
         expected[0] = 1.0
-        assert np.allclose(st.amplitudes, expected)
+        assert np.allclose(coherent_vector(0.0, 10), expected)
 
     def test_mean_photon_number_alpha_one(self):
-        st = coherent_state(1.0, 20)
+        st = coherent(1.0, 20)
         rho = dm(st.layout, np.outer(st.amplitudes, st.amplitudes.conj()))
         nbar = float(np.dot(np.abs(st.amplitudes) ** 2, np.arange(21)))
         assert abs(nbar - 1.0) < 1e-9
@@ -63,11 +66,10 @@ class TestCoherentState:
         pmf = [math.exp(-lam) * lam**n / math.factorial(n) for n in range(9)]
         assert 1.0 - sum(pmf) > 1e-10
         with pytest.raises(TruncationTooSmall):
-            coherent_state(2.0, 8)
+            coherent_vector(2.0, 8)
 
     def test_renormalized(self):
-        st = coherent_state(1.5, 25)
-        assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(coherent_vector(1.5, 25)) - 1.0) < 1e-12
 
 
 class TestCoherentOverlap:
@@ -96,23 +98,22 @@ class TestCoherentOverlap:
 
 class TestTensorProduct:
     def test_basis_vector_index_zero(self):
-        atom = PureState(SubsystemLayout((2,), ("atom",)), np.array([1.0, 0.0], dtype=complex))
-        vac1 = coherent_state(0.0, 3, label="field1")
-        vac2 = coherent_state(0.0, 2, label="field2")
-        psi = tensor_product([atom, vac1, vac2])
+        atom = np.array([1.0, 0.0], dtype=complex)
+        fields = np.kron(coherent_vector(0.0, 3), coherent_vector(0.0, 2))
+        psi = PureState(standard_layout(3, 2), np.kron(atom, fields))
         assert psi.layout.dims == (2, 4, 3)
         expected = np.zeros(24)
         expected[0] = 1.0
         assert np.allclose(psi.amplitudes, expected)
 
     def test_identity_kron(self):
-        out = tensor_product([np.eye(2), np.eye(3)])
+        out = np.kron(np.eye(2), np.eye(3))
         assert np.allclose(out, np.eye(6))
 
     def test_kronecker_blocks(self, rng):
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3))
-        out = tensor_product([a, b])
+        out = np.kron(a, b)
         for i in range(2):
             for j in range(2):
                 assert np.allclose(out[3 * i : 3 * i + 3, 3 * j : 3 * j + 3], a[i, j] * b)
@@ -180,15 +181,15 @@ class TestTraceDistance:
 
 class TestPhotonDistribution:
     def test_vacuum(self):
-        vac = coherent_state(0.0, 6, label="field1")
-        atom = PureState(SubsystemLayout((2,), ("atom",)), np.array([1.0, 0.0], dtype=complex))
-        rho = tensor_product([atom, vac]).to_density_matrix()
+        layout = SubsystemLayout((2, 7), ("atom", "field1"))
+        psi = np.kron(np.array([1.0, 0.0], dtype=complex), coherent_vector(0.0, 6))
+        rho = PureState(layout, psi).to_density_matrix()
         probs = photon_number_distribution(rho, "field1")
         assert probs[0] == pytest.approx(1.0)
         assert np.all(probs[1:] < 1e-14)
 
     def test_coherent_poisson(self):
-        st = coherent_state(1.0, 25, label="field1")
+        st = coherent(1.0, 25, label="field1")
         rho = st.to_density_matrix()
         probs = photon_number_distribution(rho, 0)
         assert probs[0] == pytest.approx(math.exp(-1.0), abs=1e-10)

@@ -9,7 +9,6 @@ from cavsim import (
     StageKind,
     StepUnderflow,
     lindblad,
-    liouvillian_apply,
     mean_photon_number,
     rho_stage1,
     run_oracle,
@@ -30,6 +29,11 @@ def coherent_field1_state(z: complex, n1: int, n2: int, gamma: float) -> tuple[S
         phi=0.0,
     )
     return sc, initial_density(sc)
+
+
+def liouvillian_apply(rho: DensityMatrix, stage: StageKind, sc: Scenario) -> np.ndarray:
+    """d rho/dt of the stage generator the oracle integrates (rotating frame)."""
+    return lindblad._StageGenerator(sc, stage, rho.layout.dims).apply(rho.data)
 
 
 def kron_generator(rho: np.ndarray, stage: StageKind, sc: Scenario) -> np.ndarray:

@@ -1,0 +1,133 @@
+"""The concurrent eigen-solve map behind every certification check."""
+
+import itertools
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from cavsim import (
+    DensityMatrix,
+    NonPhysicalState,
+    Scenario,
+    branch_run,
+    initial_density,
+    rho_stage1,
+    run_scenario,
+    stage_step,
+    standard_layout,
+    trace_distance,
+    validation,
+)
+from cavsim.hilbert import half_trace_norm
+from cavsim.validation import EIGEN_WORKERS, SEMIGROUP_STAGES, _eigen_map, _min_eigenvalue
+
+from conftest import random_density
+
+
+def slow_square(x):
+    time.sleep(0.002 * (x % 3))  # later items often finish first
+    return x * x
+
+
+class TestEigenMap:
+    def test_results_in_input_order(self):
+        assert list(_eigen_map(slow_square, range(12))) == [x * x for x in range(12)]
+
+    def test_empty(self):
+        assert list(_eigen_map(slow_square, [])) == []
+
+    def test_lazy(self):
+        pulled = []
+
+        def items():
+            for i in range(1000):
+                pulled.append(i)
+                yield i
+
+        assert list(itertools.islice(_eigen_map(slow_square, items()), 5)) == [0, 1, 4, 9, 16]
+        assert len(pulled) <= 5 + EIGEN_WORKERS
+
+    def test_never_more_than_workers_items_outstanding(self):
+        lock = threading.Lock()
+        pulled = finished = consumed = 0
+        outstanding = []
+
+        def items():
+            nonlocal pulled
+            for i in range(10):
+                pulled += 1
+                with lock:  # pulled but not finished, this item included
+                    outstanding.append(pulled - finished)
+                yield i
+
+        def work(x):
+            nonlocal finished
+            time.sleep(0.001)
+            with lock:
+                finished += 1
+            return x
+
+        for consumed, _ in enumerate(_eigen_map(work, items()), start=1):
+            assert pulled - consumed <= EIGEN_WORKERS
+        assert consumed == pulled == 10
+        assert max(outstanding) == EIGEN_WORKERS
+
+    def test_exception_propagates(self):
+        def fail_on_three(x):
+            if x == 3:
+                raise ValueError("item 3")
+            return x
+
+        results = _eigen_map(fail_on_three, range(6))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="item 3"):
+            next(results)
+
+    def test_min_eigenvalue_validates_every_state(self, rng):
+        layout = standard_layout(1, 1)
+        good = DensityMatrix(layout, random_density(rng, layout.dim))
+        bad = DensityMatrix(layout, good.data + np.triu(np.full((8, 8), 1e-3), 1))
+        assert _min_eigenvalue([good, good]) == 0.0
+        with pytest.raises(NonPhysicalState, match="Hermiticity"):
+            _min_eigenvalue([good, good, bad, good])
+
+
+def test_stage1_distances_match_a_plain_loop(monkeypatch):
+    # cutoffs 8 instead of the margin rule, so that the grid stays small
+    monkeypatch.setattr(validation, "_with_margin", lambda sc, margin=0: sc.variant(n1=8, n2=8))
+    times = np.array([0.0, 120.0, 250.0, 250.0, 400.0])
+    for alpha, g in ((0.5, 0.0), (0.5, 0.3), (0.3, 0.05)):
+        sc = validation._stage1_scenario(alpha, g, t1=float(times[-1]))
+        dense, branch = run_scenario(sc, times), branch_run(sc, times)
+        expected = []
+        for i, t in enumerate(times):
+            expected.append(trace_distance(rho_stage1(float(t), sc), dense.states[i]))
+            expected.append(trace_distance(dense.states[i], branch.dense_state(i)))
+        got = list(_eigen_map(half_trace_norm, validation._stage1_differences(sc, times)))
+        assert got == expected  # bit for bit
+        ad, bd = validation.stage1_equivalence((alpha,), (g,), times)
+        assert ad.detail.startswith(f"worst trace distance {max(expected[0::2]):.3e}")
+        assert bd.detail.startswith(f"worst trace distance {max(expected[1::2]):.3e}")
+
+
+def test_semigroup_gap_matches_a_plain_loop():
+    sc = Scenario().variant(g=0.5, q=0.3, alpha=0.5, beta=0.5, n1=8, n2=8)
+    rho = initial_density(sc)
+    expected = max(
+        trace_distance(
+            stage_step(rho, stage, 9.0, sc),
+            stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc),
+        )
+        for stage in SEMIGROUP_STAGES
+    )
+    assert validation._semigroup_gap(sc) == expected
+
+
+def test_quick_checks_do_not_depend_on_the_worker_count(monkeypatch):
+    # a change to the concurrent path that moves a value or the order of the
+    # results shows here; the exact values are left to numpy and OpenBLAS
+    default = validation.quick_checks()
+    monkeypatch.setattr(validation, "EIGEN_WORKERS", 1)
+    assert validation.quick_checks() == default
