@@ -145,8 +145,9 @@ def cmd_sweep(args) -> int:
                     if path in tasks:  # names keep 6 significant digits
                         raise ConfigError(f"two sweep points would both write {path.name}")
                     tasks[path] = (pt, times, backend, args.converge, path)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))  # a pool forks all its workers at the first submit
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for name in pool.map(_sweep_point, tasks.values()):
                 print(name)
     else:

@@ -28,10 +28,12 @@ with the field labels in Fock coordinates or in label-isometry coordinates.
 
 Both backends run through one closed-form driver (:func:`_closed_form_run`):
 it steps each distinct sample time once from its stage-start state and dresses
-lab snapshots afterwards.  It and :func:`cavsim.lindblad.run_oracle` walk a
-scenario's stages through one rotating-frame traversal (:func:`_traverse`),
-supplying a per-stage advance and an atomic rotation; all three take
-(scenario, sample times, initial).
+each lab snapshot as it is made.  It and :func:`cavsim.lindblad.run_oracle`
+walk a scenario's stages through one lazy rotating-frame traversal
+(:func:`_traverse`), supplying a per-stage advance and an atomic rotation; all
+three take (scenario, sample times, initial).  A closed-form
+:class:`Trajectory` makes its snapshots when they are read, so its records
+hold one dense snapshot at a time.
 
 Units: time in microseconds, angular frequencies in rad/us.  The conventional
 "kHz" experimental values map to 1e-3 rad/us.
@@ -470,13 +472,47 @@ class ConcurrenceRecord:
     flags: str = ""
 
 
-@dataclass
-class Trajectory:
-    """Time grid plus state snapshots (dense matrices or coherent-branch states)."""
+def _stack_records(times, layout: SubsystemLayout, stack: np.ndarray) -> list[ConcurrenceRecord]:
+    """Concurrence records of a ``(S, D, D)`` stack of one layout sampled at ``times``."""
+    pcs = entanglement.pairwise_concurrence_stack(stack, layout.dims)
+    return [
+        ConcurrenceRecord(
+            t_us=float(t),
+            c_af1=pc.c_af1,
+            c_af2=pc.c_af2,
+            c_f1f2=pc.c_f1f2,
+            discarded_weight=pc.discarded_weight,
+            purity=DensityMatrix(layout, data).purity(),
+            flags=";".join(pc.flags),
+        )
+        for t, pc, data in zip(times, pcs, stack)
+    ]
 
-    scenario: Scenario
-    times: np.ndarray
-    states: list
+
+def _dense_record(t: float, rho: DensityMatrix) -> ConcurrenceRecord:
+    """Record of one dense snapshot at time t, exactly as :meth:`Trajectory.records` makes it."""
+    return _stack_records([t], rho.layout, rho.data[None])[0]
+
+
+class Trajectory:
+    """Time grid plus state snapshots (dense matrices or coherent-branch states).
+
+    ``walk()`` returns a fresh iterator over the snapshots, which makes them as
+    they are read.  ``states`` walks once on first access and keeps the list;
+    :meth:`snapshots` and :meth:`records` reuse that list if it exists and
+    otherwise walk afresh, keeping no snapshot the caller does not keep.
+    """
+
+    def __init__(self, scenario: Scenario, times: np.ndarray, walk):
+        self.scenario, self.times, self._walk = scenario, times, walk
+
+    @functools.cached_property
+    def states(self) -> list:
+        return list(self._walk())
+
+    def snapshots(self):
+        """Iterator over the snapshots: the ``states`` list if it was read, else a fresh walk."""
+        return iter(self.states) if "states" in self.__dict__ else self._walk()
 
     def dense_state(self, i: int) -> DensityMatrix:
         """Snapshot i in Fock space; branch states are densified at the scenario cutoffs."""
@@ -486,47 +522,46 @@ class Trajectory:
         return st
 
     def records(self) -> list[ConcurrenceRecord]:
-        """Concurrence record of every snapshot, extracted per trajectory on stacks.
+        """Concurrence record of every snapshot.
 
-        Branch snapshots are compressed in groups of one term structure, each
-        group one ``(S, D, D)`` stack (see :func:`branch_compress`); dense
-        snapshots enter the extraction as stack-of-one views and are never
-        stacked or copied.  Each group's stack is released before the next.
+        Dense snapshots are extracted one at a time as stack-of-one views,
+        never stacked or copied, and dropped before the next is made.  Branch
+        snapshots are compressed in groups of one term structure, each group
+        one ``(S, D, D)`` stack (see :func:`branch_compress`) released before
+        the next.
         """
-        recs: list = [None] * len(self.states)
-        dense = [i for i, st in enumerate(self.states) if not isinstance(st, BranchState)]
-        branch = [i for i, st in enumerate(self.states) if isinstance(st, BranchState)]
-        stacks = itertools.chain(
-            ((self.states[i].layout, self.states[i].data[None], [i]) for i in dense),
-            _compressed_groups(self.states, branch),
-        )
-        for layout, stack, indices in stacks:
-            pcs = entanglement.pairwise_concurrence_stack(stack, layout.dims)
-            for i, pc, data in zip(indices, pcs, stack):
-                recs[i] = ConcurrenceRecord(
-                    t_us=float(self.times[i]),
-                    c_af1=pc.c_af1,
-                    c_af2=pc.c_af2,
-                    c_f1f2=pc.c_f1f2,
-                    discarded_weight=pc.discarded_weight,
-                    purity=DensityMatrix(layout, data).purity(),
-                    flags=";".join(pc.flags),
-                )
+        recs: list = [None] * self.times.size
+        branch = []
+        snapshots = self.snapshots()
+        for i, t in enumerate(self.times):
+            st = next(snapshots)
+            if isinstance(st, BranchState):
+                branch.append((i, st))
+            else:
+                recs[i] = _dense_record(t, st)
+            del st  # not kept while the walk makes the next snapshot
+        for layout, stack, indices in _compressed_groups(branch):
+            for i, rec in zip(indices, _stack_records(self.times[indices], layout, stack)):
+                recs[i] = rec
         return recs
 
 
 def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
-    """Walk the scenario's five stages; return (sample times, snapshots at those times).
+    """Check a sample grid and return (sample times, walk), where ``walk()`` walks
+    the scenario's five stages from ``state`` and yields the snapshot at each
+    sample time as it is made.
 
     The sample times must be non-empty, finite, sorted and inside the
     scenario's span; a sample on a stage boundary belongs to the earlier stage.
     For each stage, ``advance(state, stage, taus)`` receives the stage-start
     state and the elapsed times of the stage's samples followed by the stage
-    duration, and returns one state per entry; the last one starts the next
-    stage.  After its samples, a zero-duration Ramsey stage applies the full
-    pulse area at once through ``rotate(state, scenario.ramsey_angle)``.  The
-    walk stops at the last sample: its stage receives only the samples' elapsed
-    times, and no later stage is advanced or rotated.
+    duration, and returns an iterable of one state per entry; the last one
+    starts the next stage.  After its samples, a zero-duration Ramsey stage
+    applies the full pulse area at once through
+    ``rotate(state, scenario.ramsey_angle)``.  The walk stops at the last
+    sample: its stage receives only the samples' elapsed times, and no later
+    stage is advanced or rotated.  A walk keeps no snapshot once it has yielded
+    it, apart from what ``advance`` keeps.
     """
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if times.size == 0:
@@ -540,17 +575,21 @@ def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
         raise ValueError("sample times outside the scenario time span")
     # each sample belongs to the earliest stage whose interval contains it
     stage_of = np.minimum(np.searchsorted(bounds[1:], times, side="left"), len(STAGE_ORDER) - 1)
-    snapshots: list = []
-    for k, (stage, duration) in enumerate(zip(STAGE_ORDER, scenario.stage_durations)):
-        taus = times[stage_of == k] - bounds[k]
-        if k == stage_of[-1]:  # the walk ends at the last sample
-            snapshots.extend(advance(state, stage, taus))
-            break
-        *samples, state = advance(state, stage, np.append(taus, duration))
-        snapshots.extend(samples)
-        if duration == 0 and stage is StageKind.RAMSEY and scenario.ramsey_angle != 0.0:
-            state = rotate(state, scenario.ramsey_angle)
-    return times, snapshots
+
+    def walk():
+        start = state
+        for k, (stage, duration) in enumerate(zip(STAGE_ORDER, scenario.stage_durations)):
+            taus = times[stage_of == k] - bounds[k]
+            if k == stage_of[-1]:  # the walk ends at the last sample
+                yield from advance(start, stage, taus)
+                return
+            stepped = iter(advance(start, stage, np.append(taus, duration)))
+            yield from itertools.islice(stepped, taus.size)
+            start = next(stepped)
+            if duration == 0 and stage is StageKind.RAMSEY and scenario.ramsey_angle != 0.0:
+                start = rotate(start, scenario.ramsey_angle)
+
+    return times, walk
 
 
 def _closed_form_run(scenario: Scenario, sample_times, state, step, rotate, dress) -> Trajectory:
@@ -560,27 +599,38 @@ def _closed_form_run(scenario: Scenario, sample_times, state, step, rotate, dres
     state, made once per distinct elapsed time tau > 0 (compared as exact
     floats): samples at equal times share one state, and a sample on a stage's
     end is the very state that starts the next stage (so no snapshot may be
-    modified in place).  A zero-duration Ramsey stage is
-    ``rotate(state, ramsey_angle)`` (see :func:`_traverse`).  In lab mode the
-    traversal runs in the rotating frame and each snapshot at t > 0 is
+    modified in place).  A stage keeps only its start state and its latest
+    sample, which it drops before making the next.  A zero-duration Ramsey
+    stage is ``rotate(state, ramsey_angle)`` (see :func:`_traverse`).  In lab
+    mode the traversal runs in the rotating frame and each snapshot at t > 0 is
     ``dress(state, scenario, t)``, the free phases accumulated since t0:
     referencing the Ramsey drive phase to t0 keeps the two frames related by a
     local unitary (dressing stage by stage would tilt the pulse axis by the
     atomic phase accumulated before the Ramsey zone, which no measured quantity
-    here can resolve).
+    here can resolve).  Snapshots are made when the trajectory is read.
     """
 
     def advance(st, stage, taus):
-        stepped: dict = {}
+        # taus are sorted, so samples at one elapsed time are neighbours
+        last_tau, sample = None, st
         for tau in map(float, taus):
-            if tau > 0 and tau not in stepped:
-                stepped[tau] = step(st, stage, tau, scenario)
-        return [stepped.get(float(tau), st) for tau in taus]
+            if tau > 0 and tau != last_tau:
+                sample = None  # not kept while the next sample is made
+                sample, last_tau = step(st, stage, tau, scenario), tau
+            yield sample
 
-    times, states = _traverse(scenario, sample_times, state, advance, rotate)
-    if scenario.frame == "lab":
-        states = [dress(st, scenario, float(t)) if t > 0 else st for st, t in zip(states, times)]
-    return Trajectory(scenario, times, states)
+    times, rotating = _traverse(scenario, sample_times, state, advance, rotate)
+    if scenario.frame == "rotating":
+        return Trajectory(scenario, times, rotating)
+
+    def dressed():
+        snapshots = rotating()
+        for t in map(float, times):
+            st = next(snapshots)
+            yield dress(st, scenario, t) if t > 0 else st
+            del st  # not kept while the walk makes the next snapshot
+
+    return Trajectory(scenario, times, dressed)
 
 
 def _density_start(scenario: Scenario, initial) -> DensityMatrix:
@@ -771,11 +821,11 @@ def _compress_stack(key, weights, coords1, coords2) -> tuple[SubsystemLayout, np
     return standard_layout(r1 - 1, r2 - 1), data.reshape(count, 2 * r1 * r2, -1)
 
 
-def _compressed_groups(states: list, indices: list):
-    """Yield (layout, stack, snapshot indices) per term structure of ``states[indices]``."""
+def _compressed_groups(snapshots):
+    """Yield (layout, stack, snapshot indices) per term structure of (index, BranchState) pairs."""
     groups: dict = {}
-    for i in indices:
-        key, *member = _term_structure(states[i])
+    for i, bs in snapshots:
+        key, *member = _term_structure(bs)
         groups.setdefault(key, []).append((i, *member))
     for key, entries in groups.items():
         snapshots, weights, labels1, labels2 = zip(*entries)
@@ -793,7 +843,7 @@ def branch_compress(bs: BranchState) -> DensityMatrix:
     It is the stack-of-one case of the grouped compression behind
     :meth:`Trajectory.records`.
     """
-    layout, stack, _ = next(_compressed_groups([bs], [0]))
+    layout, stack, _ = next(_compressed_groups([(0, bs)]))
     return DensityMatrix(layout, stack[0])
 
 

@@ -203,7 +203,7 @@ def trace_distance_below(rho: DensityMatrix, sigma: DensityMatrix, bound: float)
     frob = float(np.linalg.norm(delta))
     if 0.5 * math.sqrt(delta.shape[0]) * frob < bound:
         return True
-    return trace_distance(rho, sigma) < bound
+    return half_trace_norm(delta) < bound
 
 
 def photon_number_distribution(rho: DensityMatrix, field) -> np.ndarray:

@@ -194,7 +194,8 @@ def run_oracle(
         states, _, _ = _advance(gen, rho.data, targets, config)
         return [DensityMatrix(rho.layout, data) for data in states]
 
-    times, states = _traverse(scenario, sample_times, state, advance, _rotate_atom)
+    times, walk = _traverse(scenario, sample_times, state, advance, _rotate_atom)
+    states = list(walk())  # integrated up front, so errors surface here
     for st in states:
         st.validate()
-    return Trajectory(scenario, times, states)
+    return Trajectory(scenario, times, states.__iter__)

@@ -25,6 +25,7 @@ from .entanglement import monogamy_residual
 from .evolution import (
     Scenario,
     StageKind,
+    _dense_record,
     branch_run,
     default_truncation,
     initial_density,
@@ -122,7 +123,7 @@ def _semigroup_gap(sc: Scenario, stages=SEMIGROUP_STAGES) -> float:
 
 def _ckw_residual(states) -> float:
     """Smallest CKW residual tau_A - C_AF1^2 - C_AF2^2 (pure states only); -inf if one is mixed."""
-    residuals = [monogamy_residual(st) for st in states]
+    residuals = list(map(monogamy_residual, states))
     return -math.inf if None in residuals else min(residuals)
 
 
@@ -180,7 +181,7 @@ def concurrence_landmark() -> CheckResult:
 def snapshot_invariants() -> CheckResult:
     """Hermiticity/trace/positivity of dense snapshots along a lossy traversal."""
     sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
-    worst = _min_eigenvalue(run_scenario(sc, np.linspace(0.0, sc.total_time(), 16)).states)
+    worst = _min_eigenvalue(run_scenario(sc, np.linspace(0.0, sc.total_time(), 16)).snapshots())
     passed = worst >= MIN_EIGENVALUE
     return _bounded("snapshot invariants", "minimum eigenvalue", worst, passed, MIN_EIGENVALUE)
 
@@ -197,7 +198,9 @@ def branch_certification() -> CheckResult:
     """Branch vs dense over the full (alpha, beta, g, q) experimental grid.
 
     Both the states (trace distance) and the records (concurrences and purity,
-    which the branch backend extracts without densifying) are certified.
+    which the branch backend extracts without densifying) are certified.  Each
+    dense trajectory is read once: every snapshot is compared with its branch
+    state, gives its record and is dropped.
     """
     first_failure = ""
     worst_record = 0.0
@@ -209,16 +212,18 @@ def branch_certification() -> CheckResult:
             for g in CERT_GRID:
                 for q in CERT_GRID:
                     run_sc = sc.variant(g=g, q=q)
-                    dense = run_scenario(run_sc, times)
                     branch = branch_run(run_sc, times)
-                    for i in range(times.size):
+                    snapshots = run_scenario(run_sc, times).snapshots()
+                    dense_records = []
+                    for i, t in enumerate(times):
+                        st = next(snapshots)
                         if not first_failure and not trace_distance_below(
-                            dense.states[i], branch.dense_state(i), STATE_TOL
+                            st, branch.dense_state(i), STATE_TOL
                         ):
-                            first_failure = (
-                                f"alpha={alpha} beta={beta} g={g} q={q} t={times[i]:.1f}"
-                            )
-                    gap = _record_gap(dense.records(), branch.records(), CONCURRENCES + ("purity",))
+                            first_failure = f"alpha={alpha} beta={beta} g={g} q={q} t={t:.1f}"
+                        dense_records.append(_dense_record(t, st))
+                        del st  # not kept while the walk makes the next snapshot
+                    gap = _record_gap(dense_records, branch.records(), CONCURRENCES + ("purity",))
                     worst_record = max(worst_record, gap)
     elapsed = time.perf_counter() - t0
     passed = not first_failure and worst_record < STATE_TOL
@@ -235,7 +240,7 @@ def oracle_certification() -> CheckResult:
     t0 = time.perf_counter()
     dense = run_scenario(sc, times)
     oracle = lindblad.run_oracle(sc, times)
-    worst = max(_eigen_map(_trace_distance_of, zip(dense.states, oracle.states)))
+    worst = max(_eigen_map(_trace_distance_of, zip(dense.snapshots(), oracle.states)))
     elapsed = time.perf_counter() - t0
     detail = f"worst trace distance {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s"
     return CheckResult("dense-vs-oracle (5 stages)", worst < ORACLE_TOL, detail)
@@ -261,11 +266,11 @@ def invariant_checks() -> list[CheckResult]:
     CKW monogamy on pure lossless runs (8 samples), at INVARIANT_MARGIN cutoffs."""
     sc = _with_margin(Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0), INVARIANT_MARGIN)
     times = np.linspace(0.0, sc.total_time(), 12)
-    lam_min = _min_eigenvalue(run_scenario(sc, times).states)
+    lam_min = _min_eigenvalue(run_scenario(sc, times).snapshots())
     shift, gap = _frame_shift(sc, times), _semigroup_gap(sc)
     pure = [_with_margin(Scenario().variant(alpha=a, beta=a), INVARIANT_MARGIN) for a in (0.5, 1.0)]
     runs = (run_scenario(p, np.linspace(0.0, p.total_time(), 8)) for p in pure)
-    ckw = min(_ckw_residual(run.states) for run in runs)
+    ckw = min(_ckw_residual(run.snapshots()) for run in runs)
     checks = (  # name, quantity, value, passed, tolerance
         ("physicality", "minimum eigenvalue", lam_min, lam_min >= MIN_EIGENVALUE, MIN_EIGENVALUE),
         ("frame invariance", "worst concurrence shift", shift, shift < FRAME_TOL, FRAME_TOL),

@@ -40,7 +40,8 @@ def test_runners_call_through_patched_layers(monkeypatch):
     sc = Scenario().variant(alpha=0.5, beta=0.5, g=0.2, q=0.2, n1=8, n2=8)
     # cavity 1 steps 10 and 30 us; the sample at 90 us is cavity 2's end: 6 steps per run
     times = [0.0, 10.0, 30.0, 90.0]
-    run_scenario(sc, times)
+    # snapshots are made when read, so each trajectory is read while the layers are patched
+    run_scenario(sc, times).states
     assert counts == {"stage_step": 6, "dissipative_map": 6}
-    branch_run(sc, times)
+    branch_run(sc, times).states
     assert counts == {"stage_step": 6, "dissipative_map": 6, "branch_step": 6}

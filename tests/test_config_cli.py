@@ -245,6 +245,32 @@ class TestCliCommands:
         assert main(["sweep", str(cfg), "--out", str(tmp_path), "--jobs", jobs]) == 2
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("grid, pools", [("sweep_g = 0, 0.5", [2]), ("sweep_g = 0", [])])
+    def test_sweep_pool_is_capped_at_the_points(self, tmp_path, monkeypatch, grid, pools):
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:  # records its size and runs the points in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{grid}\nsweep_q = 0\nn_samples = 2\nbackend = branch\n")
+        assert main(["sweep", str(cfg), "--out", str(tmp_path), "--jobs", "8"]) == 0
+        assert sizes == pools  # a 1-point sweep runs in this process
+        assert len(list(tmp_path.glob("*.csv"))) == len(grid.split(","))
+
     @pytest.mark.parametrize(
         "grid", ["sweep_g = 0.1000001, 0.1000002", "sweep_g = 0.1, 0.1", "sweep_alpha = 1, 1+0j"]
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,12 +541,12 @@ class TestOneStepPerTime:
         times = sc.stage_times()
         step = getattr(evolution, attr)
         calls = record_steps(monkeypatch, attr)
-        traj = runner(sc, times)
+        states = runner(sc, times).states  # snapshots are made when read
         monkeypatch.undo()
         # every sample sits on a stage end, so each stage steps only its duration
         assert calls == [(s, d) for s, d in zip(STAGE_ORDER, sc.stage_durations) if d > 0]
         expected = stepwise_snapshots(sc, times, start(sc), step, rotate)
-        assert all(same(a, b) for a, b in zip(traj.states, expected))
+        assert all(same(a, b) for a, b in zip(states, expected))
 
     def test_samples_inside_stages_one_step_each(self, monkeypatch):
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0)
@@ -553,14 +554,59 @@ class TestOneStepPerTime:
         times = [-1e-12, 5.0, 5.0, 30.0, 35.0, 40.0, 40.0, 72.0]
         step = evolution.stage_step
         calls = record_steps(monkeypatch, "stage_step")
-        traj = run_scenario(sc, times)
+        states = run_scenario(sc, times).states  # snapshots are made when read
         monkeypatch.undo()
         C, F1, R, F2, C2 = STAGE_ORDER
         # the walk ends at the last sample: cavity 2 is not stepped on to its end
         assert calls == [(C, 5.0), (C, 30.0), (F1, 5.0), (F1, 10.0), (R, 10.0), (F2, 10.0),
                          (C2, 12.0)]
         expected = stepwise_snapshots(sc, times, initial_density(sc), step, _rotate_atom)
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(traj.states, expected))
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(states, expected))
+
+
+def records_peak_bytes(sc: Scenario, n_samples: int) -> int:
+    """tracemalloc peak of ``run_scenario(sc, times).records()`` on an n-sample grid."""
+    times = np.linspace(0.0, sc.total_time(), n_samples)
+    tracemalloc.start()
+    try:
+        run_scenario(sc, times).records()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedTrajectory:
+    """Closed-form snapshots are made when read; records keep one dense snapshot at a time."""
+
+    def test_records_memory_does_not_grow_with_samples(self):
+        sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
+        snapshot_bytes = initial_density(sc).data.nbytes
+        # a trajectory that kept its snapshots would hold 18 more of them at 24 samples
+        assert records_peak_bytes(sc, 24) - records_peak_bytes(sc, 6) <= snapshot_bytes
+
+    @pytest.mark.parametrize("runner", [run_scenario, branch_run], ids=["dense", "branch"])
+    @pytest.mark.parametrize("frame", ["rotating", "lab"])
+    def test_streamed_records_equal_listed_records(self, runner, frame):
+        sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0, phi=0.8).variant(
+            stage_durations=(30.0, 10.0, 0.0, 10.0, 30.0), frame=frame
+        )
+        # every stage boundary (twice at the zero-duration Ramsey stage), duplicates, inner samples
+        times = np.sort(np.concatenate([sc.stage_times(), [5.0, 5.0, 45.0, 45.0, 70.0]]))
+        streamed = runner(sc, times)
+        listed = runner(sc, times)
+        states = listed.states
+        assert streamed.records() == listed.records()
+        assert "states" not in vars(streamed)  # records() kept no list behind
+        assert all(a is b for a, b in zip(listed.snapshots(), states))
+
+    def test_grid_and_initial_errors_stay_eager(self):
+        sc = margin_scenario(alpha=0.5, beta=0.5, extra=0)
+        with pytest.raises(ValueError, match="sorted"):
+            run_scenario(sc, [10.0, 5.0])
+        with pytest.raises(ValueError, match="outside"):
+            branch_run(sc, [sc.total_time() + 1.0])
+        with pytest.raises(TypeError):
+            run_scenario(sc, [1.0], initial=BS.from_scenario(sc))
 
 
 class TestWalkEndsAtLastSample:
@@ -589,11 +635,11 @@ class TestWalkEndsAtLastSample:
         monkeypatch.setattr(
             evolution, rotate, lambda st, theta: rotations.append(theta) or rotate_fn(st, theta)
         )
-        traj = runner(self.SC, self.TIMES)
+        states = runner(self.SC, self.TIMES).states  # snapshots are made when read
         monkeypatch.undo()
         assert calls == [(StageKind.CAVITY1, 10.0), (StageKind.CAVITY1, 20.0)]
         assert rotations == []
-        assert all(same(a, b) for a, b in zip(traj.states, full.states))
+        assert all(same(a, b) for a, b in zip(states, full.states))
 
     def test_oracle(self, monkeypatch):
         cfg = IntegratorConfig(abs_tol=1e-9)

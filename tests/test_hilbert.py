@@ -16,7 +16,8 @@ from cavsim import (
     standard_layout,
     trace_distance,
 )
-from cavsim.hilbert import coherent_vector
+from cavsim import hilbert
+from cavsim.hilbert import coherent_vector, half_trace_norm
 
 from conftest import random_density
 
@@ -177,6 +178,22 @@ class TestTraceDistance:
         c = dm(lay, random_density(rng, 4))
         assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-13)
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
+
+    @pytest.mark.parametrize("bound, below", [(1.2e-3, True), (0.9e-3, False)])
+    def test_below_reuses_the_difference_when_inconclusive(self, monkeypatch, bound, below):
+        # delta = diag(0, e, -e, 0) with e = 1e-3: the sqrt(dim) Frobenius estimate reads
+        # sqrt(2) e and the exact distance e, so any bound up to sqrt(2) e needs the eigenvalues
+        lay = SubsystemLayout((4,), ("x",))
+        rho = dm(lay, np.diag([0.4, 0.3, 0.2, 0.1]))
+        sigma = dm(lay, np.diag([0.4, 0.299, 0.201, 0.1]))
+        assert (trace_distance(rho, sigma) < bound) is below
+        norms = []
+        monkeypatch.setattr(hilbert, "trace_distance", None)  # no second difference
+        monkeypatch.setattr(
+            hilbert, "half_trace_norm", lambda d: norms.append(d) or half_trace_norm(d)
+        )
+        assert hilbert.trace_distance_below(rho, sigma, bound) is below
+        assert len(norms) == 1
 
 
 class TestPhotonDistribution:

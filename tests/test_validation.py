@@ -20,8 +20,14 @@ from cavsim import (
     trace_distance,
     validation,
 )
-from cavsim.hilbert import half_trace_norm
-from cavsim.validation import EIGEN_WORKERS, SEMIGROUP_STAGES, _eigen_map, _min_eigenvalue
+from cavsim.hilbert import half_trace_norm, trace_distance_below
+from cavsim.validation import (
+    EIGEN_WORKERS,
+    SEMIGROUP_STAGES,
+    STATE_TOL,
+    _eigen_map,
+    _min_eigenvalue,
+)
 
 from conftest import random_density
 
@@ -131,3 +137,26 @@ def test_quick_checks_do_not_depend_on_the_worker_count(monkeypatch):
     default = validation.quick_checks()
     monkeypatch.setattr(validation, "EIGEN_WORKERS", 1)
     assert validation.quick_checks() == default
+
+
+def test_branch_certification_matches_listed_trajectories(monkeypatch):
+    # one amplitude, two loss values and cutoffs 8, so that the grid stays small
+    monkeypatch.setattr(validation, "CERT_AMPLITUDES", (0.5,))
+    monkeypatch.setattr(validation, "CERT_GRID", (0.0, 0.5))
+    monkeypatch.setattr(validation, "_with_margin", lambda sc, margin=0: sc.variant(n1=8, n2=8))
+    worst, failures = 0.0, []
+    for g in validation.CERT_GRID:
+        for q in validation.CERT_GRID:
+            sc = Scenario().variant(alpha=0.5, beta=0.5, g=g, q=q, n1=8, n2=8)
+            times = np.linspace(0.0, sc.total_time(), validation.CERT_TIMES)
+            dense, branch = run_scenario(sc, times), branch_run(sc, times)
+            failures += [
+                f"alpha=0.5 beta=0.5 g={g} q={q} t={t:.1f}"
+                for i, t in enumerate(times)
+                if not trace_distance_below(dense.states[i], branch.dense_state(i), STATE_TOL)
+            ]
+            fields = validation.CONCURRENCES + ("purity",)
+            worst = max(worst, validation._record_gap(dense.records(), branch.records(), fields))
+    expected = f"worst record gap {worst:.1e}"
+    expected += f"; first failure {failures[0]}" if failures else ""
+    assert validation.branch_certification().detail.split(", ", 1)[1] == expected
