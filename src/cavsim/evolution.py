@@ -19,12 +19,14 @@ eigenvalue of ``sigma_z . - . sigma_z`` on the block (0 on diagonal dyads, +2 on
 
 Two equivalent backends are provided: a dense matrix backend
 (:func:`run_scenario`) and an exact coherent-branch backend
-(:func:`branch_run`).  Branch records never densify: each snapshot is
-compressed onto the orthonormalized span of its coherent labels
+(:func:`branch_run`).  The branch backend keeps the which-path frame of
+Davidovich et al., PRL 71, 2360 (1993): inside a cavity the field's coherent
+label is fixed by the atom's state, so a snapshot is one weight array plus
+two labels per field (:class:`BranchState`).  Its records never densify: each
+snapshot is compressed onto the orthonormalized span of its labels
 (:func:`branch_compress`), so the Fock cutoffs N1/N2 only affect
 :meth:`Trajectory.dense_state`.  Densify and compress share one product
-(:func:`_compress_stack`): the sum of w |a, x, y><b, x', y'| over the terms,
-with the field labels in Fock coordinates or in label-isometry coordinates.
+(:func:`_compress_stack`), in Fock or in label-isometry coordinates.
 
 Both backends run through one closed-form driver (:func:`_closed_form_run`):
 it steps each distinct sample time once from its stage-start state and dresses
@@ -46,7 +48,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -524,26 +526,21 @@ class Trajectory:
     def records(self) -> list[ConcurrenceRecord]:
         """Concurrence record of every snapshot.
 
-        Dense snapshots are extracted one at a time as stack-of-one views,
-        never stacked or copied, and dropped before the next is made.  Branch
-        snapshots are compressed in groups of one term structure, each group
-        one ``(S, D, D)`` stack (see :func:`branch_compress`) released before
-        the next.
+        A trajectory holds snapshots of one backend.  Dense snapshots are
+        extracted one at a time as stack-of-one views, never stacked or copied,
+        and dropped before the next is made.  Branch snapshots are compressed
+        together as one ``(S, 8, 8)`` stack (see :func:`branch_compress`).
         """
-        recs: list = [None] * self.times.size
-        branch = []
+        recs, branch = [], []
         snapshots = self.snapshots()
-        for i, t in enumerate(self.times):
+        for t in self.times:
             st = next(snapshots)
             if isinstance(st, BranchState):
-                branch.append((i, st))
+                branch.append(st)
             else:
-                recs[i] = _dense_record(t, st)
+                recs.append(_dense_record(t, st))
             del st  # not kept while the walk makes the next snapshot
-        for layout, stack, indices in _compressed_groups(branch):
-            for i, rec in zip(indices, _stack_records(self.times[indices], layout, stack)):
-                recs[i] = rec
-        return recs
+        return _stack_records(self.times, *_compressed(branch)) if branch else recs
 
 
 def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
@@ -656,43 +653,67 @@ def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class BranchState:
-    """Sparse exact state: weighted coherent dyads per atomic dyad.
+    """Exact state in the which-path frame of the traversal.
 
-    ``terms[(s, sp)]`` is a list of ``[w, u1, v1, u2, v2]`` entries representing
-    ``w |s><sp| (x) |u1><v1| (x) |u2><v2|`` with normalized coherent labels.
+    ``weights[a, p, b, pp]`` weighs
+    ``|a><b| (x) |l1[p]><l1[pp]| (x) |l2[a]><l2[b]|`` with ``l1, l2 =
+    labels1, labels2``, normalized coherent labels indexed by atomic state.  p
+    and pp are the atom's states inside cavity 1; field 2 is indexed by the
+    atom's state itself because the Ramsey zone comes before cavity 2.  The
+    two labels of a field stay equal until the atom enters that field's
+    cavity, and before the Ramsey zone only p = a, pp = b is weighted.
     """
 
-    terms: dict = field(default_factory=dict)
+    weights: np.ndarray
+    labels1: tuple
+    labels2: tuple
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=complex)
+        if self.weights.shape != (2, 2, 2, 2):
+            raise ValueError(f"weights must have shape (2, 2, 2, 2), not {self.weights.shape}")
+        for labels in (self.labels1, self.labels2):
+            if not isinstance(labels, tuple) or len(labels) != 2:
+                raise ValueError(f"labels must be a pair per field, not {labels!r}")
 
     @staticmethod
     def from_scenario(scenario: Scenario) -> "BranchState":
         amps = (1.0 / math.sqrt(2.0), np.exp(-0.5j * scenario.phi) / math.sqrt(2.0))
-        terms = {}
-        for s in (EXCITED, GROUND):
-            for sp in (EXCITED, GROUND):
-                w = amps[s] * np.conj(amps[sp])
-                terms[(s, sp)] = [[w, scenario.alpha, scenario.alpha, scenario.beta, scenario.beta]]
-        return BranchState(terms)
+        weights = np.zeros((2, 2, 2, 2), dtype=complex)
+        for a, b in itertools.product((EXCITED, GROUND), repeat=2):
+            weights[a, a, b, b] = amps[a] * np.conj(amps[b])
+        return BranchState(weights, (scenario.alpha,) * 2, (scenario.beta,) * 2)
+
+
+# The weight and label updates below are scalar on purpose: numpy's array complex
+# product may round differently from the scalar one (fused multiply-adds), and
+# the CSV bytes follow this exact operation order.
 
 
 def _branch_rotate(bs: BranchState, theta: float) -> BranchState:
-    """Conjugate the atom of a BranchState by the Ramsey rotation of pulse area theta."""
+    """Conjugate the atom of a BranchState by the Ramsey rotation of pulse area theta.
+
+    Only the atom index moves: the frame needs field 2's labels still equal,
+    as they are in the Ramsey zone.
+    """
     r = ramsey_unitary(theta)
-    mixed: dict = {(a, b): [] for a in (0, 1) for b in (0, 1)}
-    for (s, sp), lst in bs.terms.items():
-        for w, u1, v1, u2, v2 in lst:
-            for a in (0, 1):
-                ra = r[a, s]
-                if ra == 0:
-                    continue
-                for b in (0, 1):
-                    rb = np.conj(r[b, sp])
-                    if rb == 0:
-                        continue
-                    mixed[(a, b)].append([w * ra * rb, u1, v1, u2, v2])
-    return BranchState(mixed)
+    weights = np.zeros_like(bs.weights)
+    for (s, p, sp, pp), w in np.ndenumerate(bs.weights):
+        if w:
+            for a, b in itertools.product((0, 1), repeat=2):
+                weights[a, p, b, pp] += w * r[a, s] * np.conj(r[b, sp])
+    return BranchState(weights, bs.labels1, bs.labels2)
+
+
+def _branch_labels(labels: tuple, dec: float, omega: float, phase: complex) -> tuple:
+    """One field's labels after a step: the loss contraction, then the dispersive phase."""
+    labels = [lab * dec for lab in labels]
+    if omega != 0.0:
+        labels[EXCITED] = labels[EXCITED] * phase
+        labels[GROUND] = labels[GROUND] * np.conj(phase)
+    return tuple(labels)
 
 
 def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenario) -> BranchState:
@@ -700,163 +721,137 @@ def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenari
 
     This is a rotating-frame map: ``scenario.frame`` is not read.
     """
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
     sc = scenario
     w1k, w2k = sc.omega_active(stage)
     dec1, dec2 = math.exp(-sc.gamma_1 * tau), math.exp(-sc.gamma_2 * tau)
     shrink1, shrink2 = 0.5 * (dec1 * dec1 - 1.0), 0.5 * (dec2 * dec2 - 1.0)
-    p1 = np.exp(-1j * w1k * tau)
-    p2 = np.exp(-1j * w2k * tau)
-    new_terms = {}
-    for (s, sp), lst in bs.terms.items():
-        lam = 2 * (sp - s)
-        f1 = _f_coefficient(sc.gamma_1, w1k * lam, tau)
-        f2 = _f_coefficient(sc.gamma_2, w2k * lam, tau)
-        out = []
-        for w, u1, v1, u2, v2 in lst:
-            w = w * np.exp(
-                f1 * u1 * np.conj(v1)
-                + (abs(u1) ** 2 + abs(v1) ** 2) * shrink1
-                + f2 * u2 * np.conj(v2)
-                + (abs(u2) ** 2 + abs(v2) ** 2) * shrink2
-            )
-            u1, v1 = u1 * dec1, v1 * dec1
-            u2, v2 = u2 * dec2, v2 * dec2
-            if w1k != 0.0:
-                if s == EXCITED:
-                    w, u1 = w * p1, u1 * p1
-                else:
-                    u1 = u1 * np.conj(p1)
-                if sp == EXCITED:
-                    w, v1 = w * np.conj(p1), v1 * p1
-                else:
-                    v1 = v1 * np.conj(p1)
-            if w2k != 0.0:
-                if s == EXCITED:
-                    w, u2 = w * p2, u2 * p2
-                else:
-                    u2 = u2 * np.conj(p2)
-                if sp == EXCITED:
-                    w, v2 = w * np.conj(p2), v2 * p2
-                else:
-                    v2 = v2 * np.conj(p2)
-            out.append([w, u1, v1, u2, v2])
-        new_terms[(s, sp)] = out
+    p1, p2 = np.exp(-1j * w1k * tau), np.exp(-1j * w2k * tau)
+    # F of each field per eigenvalue lam = 2 (b - a) of the atomic dyad
+    f = {lam: (_f_coefficient(sc.gamma_1, w1k * lam, tau), _f_coefficient(sc.gamma_2, w2k * lam, tau))
+         for lam in (-2, 0, 2)}
+    l1, l2 = bs.labels1, bs.labels2
+    weights = np.zeros_like(bs.weights)
+    for (a, p, b, pp), w in np.ndenumerate(bs.weights):
+        if not w:
+            continue
+        f1, f2 = f[2 * (b - a)]
+        u1, v1, u2, v2 = l1[p], l1[pp], l2[a], l2[b]
+        w = w * np.exp(
+            f1 * u1 * np.conj(v1)
+            + (abs(u1) ** 2 + abs(v1) ** 2) * shrink1
+            + f2 * u2 * np.conj(v2)
+            + (abs(u2) ** 2 + abs(v2) ** 2) * shrink2
+        )
+        for omega, phase in ((w1k, p1), (w2k, p2)):
+            if omega != 0.0:
+                if a == EXCITED:
+                    w = w * phase
+                if b == EXCITED:
+                    w = w * np.conj(phase)
+        weights[a, p, b, pp] = w
+    out = BranchState(weights, _branch_labels(l1, dec1, w1k, p1), _branch_labels(l2, dec2, w2k, p2))
     if stage is StageKind.RAMSEY and (theta := _ramsey_area(sc, tau)):
-        return _branch_rotate(BranchState(new_terms), theta)
-    return BranchState(new_terms)
+        return _branch_rotate(out, theta)
+    return out
+
+
+# (a, b, p, pp) of the 16 weights in row-major order: per atomic dyad, the
+# four path pairs in the order the Ramsey rotation makes them
+_ENTRIES = np.indices((2, 2, 2, 2)).reshape(4, -1)
+
+
+def _compress_stack(weights, coords1, coords2) -> tuple[SubsystemLayout, np.ndarray]:
+    """(layout, (S, D, D) stack) of S BranchStates with ``weights`` of shape (S, 2, 2, 2, 2).
+
+    Block (a, b) of state s is the sum over the path pairs (p, pp) of
+    ``weights[s, a, p, b, pp] |l1[p], l2[a]><l1[pp], l2[b]|``, one product per
+    atomic dyad block.  Column j of ``coords1[s]`` (``coords2[s]``) holds the
+    coordinates of field-1 (field-2) label j of state s: label isometries for
+    records, Fock amplitudes for :func:`branch_densify`.
+    """
+    atom_u, atom_v, path_u, path_v = _ENTRIES
+    count, r1, r2 = len(weights), coords1.shape[1], coords2.shape[1]
+    w = weights.transpose(0, 1, 3, 2, 4).reshape(count, -1)
+
+    def fields(idx1, idx2):
+        # |lab1> (x) |lab2> in the given coordinates, (S, entries, r1 r2)
+        c1 = coords1[:, :, idx1].transpose(0, 2, 1)
+        c2 = coords2[:, :, idx2].transpose(0, 2, 1)
+        return (c1[:, :, :, None] * c2[:, :, None, :]).reshape(count, len(idx1), -1)
+
+    left, right = fields(path_u, atom_u), fields(path_v, atom_v)
+    data = np.zeros((count, 2, r1 * r2, 2, r1 * r2), dtype=complex)
+    for a, b in itertools.product((0, 1), repeat=2):
+        ks = slice(8 * a + 4 * b, 8 * a + 4 * b + 4)
+        block = (left[:, ks].transpose(0, 2, 1) * w[:, None, ks]) @ right[:, ks].conj()
+        data[:, a, :, b, :] = block
+    return standard_layout(r1 - 1, r2 - 1), data.reshape(count, 2 * r1 * r2, -1)
 
 
 def branch_densify(bs: BranchState, scenario: Scenario) -> DensityMatrix:
     """Materialize a BranchState as a dense DensityMatrix at the scenario truncations."""
-    key, weights, labels1, labels2 = _term_structure(bs)
     coords = (
         np.stack([coherent_vector(lab, n, scenario.tail_tol) for lab in labels], axis=1)[None]
-        for labels, n in zip((labels1, labels2), scenario.truncations())
+        for labels, n in zip((bs.labels1, bs.labels2), scenario.truncations())
     )
-    layout, stack = _compress_stack(key, [weights], *coords)
+    layout, stack = _compress_stack(bs.weights[None], *coords)
     return DensityMatrix(layout, stack[0])
 
 
-def _label_isometries(label_sets: list) -> np.ndarray:
-    """Stacked coordinates of coherent states in orthonormal bases of their spans.
+def _label_isometries(label_pairs: list) -> np.ndarray:
+    """(S, 2, 2) coordinates of label pairs in orthonormal bases of their spans.
 
-    ``label_sets`` holds one equal-length label list per stack entry.  Column j
-    of entry s holds the coordinates of ``|label_sets[s][j]>``: with the Gram
-    matrix G = U diag(lam) U^dag of exact overlaps, L = diag(lam)^1/2 U^dag
-    satisfies L^dag L = G.  No inverse is taken, so coinciding labels are
-    harmless.  At least two rows are kept so that every field stays an
-    (effective) qubit.
+    Column p of entry s holds the coordinates of ``|label_pairs[s][p]>``: with
+    the Gram matrix G = U diag(lam) U^dag of exact overlaps of the distinct
+    labels, L = diag(lam)^1/2 U^dag satisfies L^dag L = G (no inverse).  Equal
+    labels both map to the first basis vector: a rank-deficient 2 x 2 Gram
+    matrix would leave about 1e-8 on the second.
     """
-    gram = np.array(
-        [[[coherent_overlap(a, b) for b in labels] for a in labels] for labels in label_sets]
-    )
-    lam, vecs = np.linalg.eigh(gram)
-    n = gram.shape[-1]
-    iso = np.zeros((len(gram), max(2, n), n), dtype=complex)
-    iso[:, :n] = np.sqrt(np.clip(lam, 0.0, None))[:, :, None] * vecs.conj().transpose(0, 2, 1)
+    iso = np.zeros((len(label_pairs), 2, 2), dtype=complex)
+    single = np.array([u == v for u, v in label_pairs])
+    for group, n in ((single, 1), (~single, 2)):
+        labels = [pair[:n] for pair, member in zip(label_pairs, group) if member]
+        if labels:
+            lam, vecs = np.linalg.eigh([[[coherent_overlap(x, y) for y in ls] for x in ls] for ls in labels])
+            roots = np.sqrt(np.clip(lam, 0.0, None))
+            iso[group, :n, :n] = roots[:, :, None] * vecs.conj().transpose(0, 2, 1)
+    iso[single, :, 1] = iso[single, :, 0]
     return iso
 
 
-def _term_structure(bs: BranchState):
-    """(structure key, weights, field-1 labels, field-2 labels) of a BranchState.
-
-    Snapshots with equal keys share the atomic dyads, the distinct-label counts
-    and the label-index pattern of their terms, so they compress as one stack.
-    """
-    rows = [(s, sp, *term) for (s, sp), lst in bs.terms.items() for term in lst]
-    atom_u, atom_v, w, u1, v1, u2, v2 = zip(*rows)
-    index1 = {lab: k for k, lab in enumerate(dict.fromkeys(u1 + v1))}
-    index2 = {lab: k for k, lab in enumerate(dict.fromkeys(u2 + v2))}
-    pattern = tuple(
-        tuple(index[lab] for lab in col)
-        for index, col in ((index1, u1), (index1, v1), (index2, u2), (index2, v2))
-    )
-    return (atom_u, atom_v, len(index1), len(index2), pattern), w, list(index1), list(index2)
-
-
-def _compress_stack(key, weights, coords1, coords2) -> tuple[SubsystemLayout, np.ndarray]:
-    """(layout, (S, D, D) stack) of S BranchStates of one term structure.
-
-    Each state is the sum of w |a, x, y><b, x', y'| over its terms, one product
-    per atomic dyad block.  Column j of ``coords1[s]`` (``coords2[s]``) holds the
-    coordinates of field-1 (field-2) label j of state s: label isometries for
-    records, Fock amplitudes for :func:`branch_densify`.
-    """
-    atom_u, atom_v, _, _, (iu1, iv1, iu2, iv2) = key
-    count, r1, r2 = len(weights), coords1.shape[1], coords2.shape[1]
-    w = np.array(weights, dtype=complex)
-
-    def fields(idx1, idx2):
-        # |lab1> (x) |lab2> in the given coordinates, (S, terms, r1 r2)
-        c1 = coords1[:, :, list(idx1)].transpose(0, 2, 1)
-        c2 = coords2[:, :, list(idx2)].transpose(0, 2, 1)
-        return (c1[:, :, :, None] * c2[:, :, None, :]).reshape(count, len(idx1), -1)
-
-    left, right = fields(iu1, iu2), fields(iv1, iv2)
-    data = np.zeros((count, 2, r1 * r2, 2, r1 * r2), dtype=complex)
-    for dyad in set(zip(atom_u, atom_v)):
-        ks = [k for k, term_dyad in enumerate(zip(atom_u, atom_v)) if term_dyad == dyad]
-        block = (left[:, ks].transpose(0, 2, 1) * w[:, None, ks]) @ right[:, ks].conj()
-        data[:, dyad[0], :, dyad[1], :] = block
-    return standard_layout(r1 - 1, r2 - 1), data.reshape(count, 2 * r1 * r2, -1)
-
-
-def _compressed_groups(snapshots):
-    """Yield (layout, stack, snapshot indices) per term structure of (index, BranchState) pairs."""
-    groups: dict = {}
-    for i, bs in snapshots:
-        key, *member = _term_structure(bs)
-        groups.setdefault(key, []).append((i, *member))
-    for key, entries in groups.items():
-        snapshots, weights, labels1, labels2 = zip(*entries)
-        isometries = _label_isometries(labels1), _label_isometries(labels2)
-        yield *_compress_stack(key, weights, *isometries), list(snapshots)
+def _compressed(states) -> tuple[SubsystemLayout, np.ndarray]:
+    """(layout, (S, 8, 8) stack) of BranchStates on their coherent-label bases."""
+    weights = np.array([bs.weights for bs in states])
+    isometries = (_label_isometries([bs.labels1 for bs in states]),
+                  _label_isometries([bs.labels2 for bs in states]))
+    return _compress_stack(weights, *isometries)
 
 
 def branch_compress(bs: BranchState) -> DensityMatrix:
     """Exact small DensityMatrix of a BranchState on its coherent-label bases.
 
-    Field i is represented on the orthonormalized span of its distinct labels,
-    of dimension r_i = max(2, label count), giving the layout (2, r1, r2).  The
-    result is the dense state conjugated by an isometry, so concurrences,
-    effective-qubit reductions and purity equal those of the untruncated state.
-    It is the stack-of-one case of the grouped compression behind
-    :meth:`Trajectory.records`.
+    Each field is represented on the orthonormalized span of its two labels
+    (the second basis vector is unused while they coincide), giving the layout
+    (2, 2, 2).  The result is the dense state conjugated by an isometry, so
+    concurrences, effective-qubit reductions and purity equal those of the
+    untruncated state.  It is the stack-of-one case of the trajectory-wide
+    compression behind :meth:`Trajectory.records`.
     """
-    layout, stack, _ = next(_compressed_groups([(0, bs)]))
+    layout, stack = _compressed([bs])
     return DensityMatrix(layout, stack[0])
 
 
 def _branch_dress(bs: BranchState, scenario: Scenario, t: float) -> BranchState:
     """Free-phase dressing of a rotating-frame BranchState at elapsed time t."""
     atom, q1, q2 = _free_phases(scenario, t)
-    terms = {}
-    for (s, sp), lst in bs.terms.items():
-        phase = atom[s] * np.conj(atom[sp])
-        terms[(s, sp)] = [
-            [w * phase, u1 * q1, v1 * q1, u2 * q2, v2 * q2] for w, u1, v1, u2, v2 in lst
-        ]
-    return BranchState(terms)
+    weights = np.zeros_like(bs.weights)
+    for (a, p, b, pp), w in np.ndenumerate(bs.weights):
+        if w:
+            weights[a, p, b, pp] = w * (atom[a] * np.conj(atom[b]))
+    return BranchState(weights, tuple(lab * q1 for lab in bs.labels1),
+                       tuple(lab * q2 for lab in bs.labels2))
 
 
 def branch_run(scenario: Scenario, sample_times, initial: BranchState | None = None) -> Trajectory:

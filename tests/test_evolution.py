@@ -40,12 +40,11 @@ from cavsim.evolution import (
     _branch_rotate,
     _field_kernels,
     _rotate_atom,
-    _term_structure,
     branch_compress,
     branch_densify,
     branch_step,
 )
-from cavsim.hilbert import coherent_overlap, coherent_vector
+from cavsim.hilbert import coherent_vector
 from cavsim.validation import CONCURRENCES, FRAME_TOL, SEMIGROUP_TOL
 from cavsim.validation import _frame_shift, _record_gap, _semigroup_gap
 
@@ -70,12 +69,9 @@ def _mix(state):
     return _branch_rotate(state, math.pi / 4)
 
 
-def _weight_moduli(state):
-    return [
-        abs(w)
-        for key in sorted(state.terms)
-        for (w, *_rest) in state.terms[key]
-    ]
+def same_branch(a: BranchState, b: BranchState) -> bool:
+    return (np.array_equal(a.weights, b.weights)
+            and a.labels1 == b.labels1 and a.labels2 == b.labels2)
 
 
 def amplitude_damping_kraus(n: int, eta: float) -> list[np.ndarray]:
@@ -258,6 +254,16 @@ class TestStageStep:
             assert abs(rho.trace() - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "step, start", [(stage_step, initial_density), (branch_step, BS.from_scenario)],
+    ids=["dense", "branch"],
+)
+def test_steppers_reject_negative_tau(step, start):
+    sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        step(start(sc), StageKind.CAVITY1, -1.0, sc)
+
+
 class TestRunScenario:
     def test_zero_durations_returns_initial(self):
         sc = Scenario().variant(stage_durations=(0.0,) * 5, ramsey_angle=0.0)
@@ -322,26 +328,33 @@ class TestBranchBackend:
     def test_coherence_weight_reproduces_x_over_two(self):
         sc = stage1_scenario(alpha=1.0, g=0.3)
         t = 180.0
-        traj = branch_run(sc, [t])
-        terms = traj.states[0].terms[(0, 1)]
-        assert len(terms) == 1
-        weight = terms[0][0]
-        assert weight == pytest.approx(0.5 * coherence_factor(t, sc), abs=1e-12)
+        weights = branch_run(sc, [t]).states[0].weights
+        # before the Ramsey zone the |e><g| dyad weighs only the path pair (e, g)
+        assert np.count_nonzero(weights[0, :, 1, :]) == 1
+        assert weights[0, 0, 1, 1] == pytest.approx(0.5 * coherence_factor(t, sc), abs=1e-12)
 
     def test_lossless_weights_have_constant_modulus(self):
         # gamma = 0: stage evolution only rotates labels and phases weights
         sc = margin_scenario(alpha=1.0, beta=1.0, g=0.0, q=0.0)
         state = BS.from_scenario(sc)
-        state = _mix(state)
-        before = _weight_moduli(state)
-        for stage in (StageKind.CAVITY1, StageKind.FREE1, StageKind.CAVITY2):
+        before = np.abs(state.weights)
+        for stage in STAGE_ORDER:
+            if stage is StageKind.RAMSEY:
+                state = _mix(state)
+                before = np.abs(state.weights)
+                continue
             state = branch_step(state, stage, 21.0, sc)
-            assert _weight_moduli(state) == pytest.approx(before, abs=1e-12)
+            assert np.abs(state.weights) == pytest.approx(before, abs=1e-12)
 
-    def test_branch_count_bounded_by_four(self):
-        sc = margin_scenario(alpha=0.5, beta=0.5, g=0.05, q=0.05)
-        traj = branch_run(sc, [sc.total_time()])
-        assert max(len(v) for v in traj.states[0].terms.values()) <= 4
+    def test_rejects_malformed_state(self):
+        sc = Scenario()
+        good = BS.from_scenario(sc)
+        with pytest.raises(ValueError, match="shape"):
+            BranchState(good.weights[0], good.labels1, good.labels2)
+        with pytest.raises(ValueError, match="pair"):
+            BranchState(good.weights, (0.5, 0.5, 0.5), good.labels2)
+        with pytest.raises(ValueError, match="pair"):
+            branch_run(sc, [1.0], initial=BranchState(good.weights, good.labels1, 0.5))
 
     def test_sample_grid_validation(self):
         sc = Scenario()
@@ -365,36 +378,6 @@ class TestBranchBackend:
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.1, q=0.1)
         traj = branch_run(sc, [20.0], initial=BS.from_scenario(sc))
         assert isinstance(traj.states[0], BranchState)
-
-
-def _three_label_state(rng) -> BranchState:
-    """Three coherent labels per field: an equal mix of a superposition and a mixture.
-
-    The superposition c_k |s_k, a_k, b_k> carries dyads between different labels;
-    the mixture of products sigma_k (x) |a_k><a_k| (x) |b_k><b_k| with full-rank
-    atomic states keeps every pair state full rank, away from the square-root
-    sensitivity of the concurrence at rank-deficient states.
-    """
-    atoms = (0, 1, 0)
-    c = rng.normal(size=3) + 1j * rng.normal(size=3)
-    a = 0.6 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-    b = 0.6 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-    norm = sum(
-        np.conj(c[k]) * c[m] * coherent_overlap(a[k], a[m]) * coherent_overlap(b[k], b[m])
-        for k in range(3)
-        for m in range(3)
-        if atoms[k] == atoms[m]
-    ).real
-    terms: dict = {(s, sp): [] for s in (0, 1) for sp in (0, 1)}
-    for k in range(3):
-        for m in range(3):
-            w = 0.5 * c[k] * np.conj(c[m]) / norm
-            terms[(atoms[k], atoms[m])].append([w, a[k], a[m], b[k], b[m]])
-    for k in range(3):
-        sigma = random_density(rng, 2) / 6.0
-        for (s, sp), lst in terms.items():
-            lst.append([sigma[s, sp], a[k], a[k], b[k], b[k]])
-    return BranchState(terms)
 
 
 class TestBranchRecords:
@@ -425,33 +408,49 @@ class TestBranchRecords:
         assert rec.c_af1 == pytest.approx(0.0, abs=1e-12)
         assert rec.purity == pytest.approx(1.0, abs=1e-12)
 
-    def test_three_label_initial_matches_dense(self, rng):
+    def test_entangled_initial_matches_dense(self, rng):
+        # sum of sigma[a, b] |a><b| (x) |x_a><x_b| (x) |y><y| with a full-rank sigma:
+        # distinct field-1 labels from t = 0, away from rank-deficient pair states
         sc = margin_scenario(alpha=1.0, beta=1.0, g=0.3, q=0.6)
-        bs = _three_label_state(rng)
-        assert branch_compress(bs).layout.dims == (2, 3, 3)
+        sigma, weights = random_density(rng, 2), np.zeros((2, 2, 2, 2), dtype=complex)
+        for a in (0, 1):
+            for b in (0, 1):
+                weights[a, a, b, b] = sigma[a, b]
+        bs = BranchState(weights, (0.9 + 0.2j, -0.5 + 0.7j), (0.4 - 0.3j,) * 2)
         times = np.linspace(0.0, sc.total_time(), 7)
         branch = branch_run(sc, times, initial=bs).records()
         dense = run_scenario(sc, times, initial=branch_densify(bs, sc)).records()
         assert _record_gap(branch, dense, RECORD_FIELDS) < 1e-9
 
-    def test_compressed_state_is_physical(self, rng):
+    def test_compressed_state_is_physical(self):
         traj = branch_run(margin_scenario(alpha=1.0, beta=0.5, g=0.5, q=0.5), [70.0])
         small = branch_compress(traj.states[0])
         small.validate(check_positivity=True)
-        big = branch_compress(_three_label_state(rng))
-        big.validate(check_positivity=True)
 
-    @pytest.mark.parametrize("initial", ["default", "three_label"])
-    def test_grouped_records_equal_per_snapshot_extraction(self, rng, initial):
-        # t = 0, an instantaneous Ramsey pulse and, for the three-label state,
-        # differently structured snapshots all land in one trajectory
+    def test_equal_labels_leave_second_basis_vector_empty(self):
+        sc = margin_scenario(alpha=1.0, beta=0.5, g=0.3, q=0.6, phi=0.4)
+        # t = 0, inside cavity 1, inside the second free flight, inside cavity 2
+        traj = branch_run(sc, [0.0, 20.0, 60.0, 80.0])
+        unentered = [(0, 1), (1,), (1,), ()]  # fields whose labels are still equal
+        for st, fields in zip(traj.states, unentered):
+            labels = (st.labels1, st.labels2)
+            assert [f for f in (0, 1) if labels[f][0] == labels[f][1]] == list(fields)
+            data = branch_compress(st).data.reshape(2, 2, 2, 2, 2, 2)
+            for f in fields:
+                second = np.take(data, 1, axis=1 + f)
+                assert np.all(second == 0) and np.all(np.take(data, 1, axis=4 + f) == 0)
+
+    def test_stacked_records_equal_per_snapshot_extraction(self):
+        # t = 0 (equal labels on both fields), cavity 1 (field 2 still equal), an
+        # instantaneous Ramsey pulse and cavity 2 (no equal labels) share one stack
         sc = margin_scenario(alpha=1.0, beta=0.5, g=0.3, q=0.6, phi=0.4, frame="lab")
         sc = sc.variant(stage_durations=(30.0, 10.0, 0.0, 10.0, 30.0))
-        bs = _three_label_state(rng) if initial == "three_label" else None
         times = np.concatenate([[0.0, 0.0], np.linspace(0.0, sc.total_time(), 17)])
         times.sort()
-        traj = branch_run(sc, times, initial=bs)
-        assert len({_term_structure(st)[0] for st in traj.states}) >= 3
+        traj = branch_run(sc, times)
+        equal = {(st.labels1[0] == st.labels1[1], st.labels2[0] == st.labels2[1])
+                 for st in traj.states}
+        assert equal == {(True, True), (False, True), (False, False)}
         for rec, st, t in zip(traj.records(), traj.states, times):
             small = branch_compress(st)
             pc = pairwise_concurrences(small)
@@ -529,8 +528,7 @@ class TestOneStepPerTime:
         [
             (run_scenario, "stage_step", initial_density, _rotate_atom,
              lambda a, b: np.array_equal(a.data, b.data)),
-            (branch_run, "branch_step", BS.from_scenario, _branch_rotate,
-             lambda a, b: a.terms == b.terms),
+            (branch_run, "branch_step", BS.from_scenario, _branch_rotate, same_branch),
         ],
         ids=["dense", "branch"],
     )
@@ -623,7 +621,7 @@ class TestWalkEndsAtLastSample:
         [
             (run_scenario, "stage_step", "_rotate_atom",
              lambda a, b: np.array_equal(a.data, b.data)),
-            (branch_run, "branch_step", "_branch_rotate", lambda a, b: a.terms == b.terms),
+            (branch_run, "branch_step", "_branch_rotate", same_branch),
         ],
         ids=["dense", "branch"],
     )
