@@ -501,8 +501,8 @@ class Trajectory:
 
     ``walk()`` returns a fresh iterator over the snapshots, which makes them as
     they are read.  ``states`` walks once on first access and keeps the list;
-    :meth:`snapshots` and :meth:`records` reuse that list if it exists and
-    otherwise walk afresh, keeping no snapshot the caller does not keep.
+    the other readers reuse that list if it exists and otherwise walk afresh,
+    keeping no snapshot the caller does not keep.
     """
 
     def __init__(self, scenario: Scenario, times: np.ndarray, walk):
@@ -518,7 +518,7 @@ class Trajectory:
 
     def dense_state(self, i: int) -> DensityMatrix:
         """Snapshot i in Fock space; branch states are densified at the scenario cutoffs."""
-        st = self.states[i]
+        st = next(itertools.islice(self.snapshots(), range(self.times.size)[i], None))
         if isinstance(st, BranchState):
             return branch_densify(st, self.scenario)
         return st

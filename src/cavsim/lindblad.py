@@ -13,13 +13,15 @@ that elementwise product, the two shifted jump slices a rho a^dag (with 2 gamma
 folded into their sqrt(n m) factors) and, in the Ramsey zone, one atomic swap.
 
 Error control is step doubling: an attempt is one full step and two half steps
-(three ``_rk4`` calls sharing k1, kept after a rejection), accepted when
-max|full - halves| <= abs_tol.  After every attempt the next step is the
-attempted one times min(MAX_FACTOR, max(MIN_FACTOR, SAFETY (abs_tol / err)^(1/5)))
-(Hairer, Norsett & Wanner, Solving ODEs I, II.4).  :func:`run_oracle` walks a
-scenario's stages through the traversal of the closed-form backends
-(:func:`cavsim.evolution._traverse`) in one pass per stage, so the step size
-carries over from one sample to the next.
+(three ``_rk4`` calls), accepted when max|full - halves| <= abs_tol.  For the
+stage's constant, linear L an RK4 step is the Taylor sum of (hL)^k rho / k! to
+k = 4 (Moler & Van Loan, SIAM Rev. 45, 3 (2003), section 4), so the first two
+calls share L rho ... L^4 rho, kept after a rejection: 8 applies, 4 per retry.
+After every attempt the next step is the attempted one times
+min(MAX_FACTOR, max(MIN_FACTOR, SAFETY (abs_tol / err)^(1/5))) (Hairer, Norsett
+& Wanner, Solving ODEs I, II.4).  :func:`run_oracle` walks a scenario's stages
+through the traversal of the closed-form backends (:func:`cavsim.evolution._traverse`)
+in one pass per stage, so the step size carries over from one sample to the next.
 """
 
 from __future__ import annotations
@@ -102,23 +104,31 @@ class _StageGenerator:
         return out
 
 
+def _powers(gen: _StageGenerator, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """L rho, L^2 rho, L^3 rho, L^4 rho."""
+    powers = [gen.apply(rho)]
+    for _ in range(3):
+        powers.append(gen.apply(powers[-1]))
+    return tuple(powers)
+
+
 def _rk4(
-    gen: _StageGenerator, rho: np.ndarray, h: float, k1: np.ndarray | None = None
+    gen: _StageGenerator, rho: np.ndarray, h: float, powers: tuple | None = None
 ) -> np.ndarray:
-    """One classic RK4 step; ``k1`` may pass in the already known ``gen.apply(rho)``."""
-    if k1 is None:
-        k1 = gen.apply(rho)
-    k2 = gen.apply(rho + (0.5 * h) * k1)
-    k3 = gen.apply(rho + (0.5 * h) * k2)
-    k4 = gen.apply(rho + h * k3)
-    # rho + h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k2 to save D x D temporaries
-    k2 += k3
-    k2 *= 2.0
-    k2 += k1
-    k2 += k4
-    k2 *= h / 6.0
-    k2 += rho
-    return k2
+    """One classic RK4 step, rho + sum_k (hL)^k rho / k! to k = 4: the Horner sum of ``powers``
+    (:func:`_powers` of ``rho``) in a new array, else added term by term into ``rho`` itself."""
+    if powers is None:
+        term = rho
+        for k in range(1, 5):
+            term = gen.apply(term)
+            term *= h / k  # (hL)^k rho / k!, as L is linear
+            rho += term
+        return rho
+    out = powers[3] * (h / 4.0)
+    for k in (3, 2, 1):
+        out += powers[k - 1]
+        out *= h / k
+    return np.add(out, rho, out=out)
 
 
 def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorConfig):
@@ -127,18 +137,16 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
     Returns (one state per target, max trace drift, accepted step count).
     """
     t, h = 0.0, config.initial_step
-    max_drift, steps, states, k1 = 0.0, 0, [], None
+    max_drift, steps, states, powers = 0.0, 0, [], None
     for target in targets:
         while t < target - 1e-12 * max(1.0, target):
             h = min(h, config.max_step)
             step = min(h, target - t)
-            if k1 is None:  # shared by the full and first half step; a rejection keeps rho
-                k1 = gen.apply(rho)
-            first = _rk4(gen, rho, 0.5 * step, k1)
-            half = _rk4(gen, first, 0.5 * step)
-            del first
+            if powers is None:  # shared by the full and first half step; a rejection keeps rho
+                powers = _powers(gen, rho)
+            half = _rk4(gen, _rk4(gen, rho, 0.5 * step, powers), 0.5 * step)
             # the full step lives only as long as its difference from the two half steps
-            err = float(np.max(np.abs(_rk4(gen, rho, step, k1) - half)))
+            err = float(np.max(np.abs(_rk4(gen, rho, step, powers) - half)))
             ratio = SAFETY * (config.abs_tol / err) ** 0.2 if err > 0 else MAX_FACTOR
             proposal = step * min(MAX_FACTOR, max(MIN_FACTOR, ratio))
             if err > config.abs_tol:
@@ -153,7 +161,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
             h = proposal if step == h else max(h, proposal)
             t += step
             steps += 1
-            k1 = None
+            powers = None
             tr = float(np.trace(half).real)
             drift = abs(tr - 1.0)
             if drift > DRIFT_LIMIT:

@@ -213,6 +213,7 @@ def branch_certification() -> CheckResult:
                 for q in CERT_GRID:
                     run_sc = sc.variant(g=g, q=q)
                     branch = branch_run(run_sc, times)
+                    branch.states  # one walk, kept: dense_state(i) and records() reuse it
                     snapshots = run_scenario(run_sc, times).snapshots()
                     dense_records = []
                     for i, t in enumerate(times):

@@ -582,6 +582,33 @@ class TestStreamedTrajectory:
         # a trajectory that kept its snapshots would hold 18 more of them at 24 samples
         assert records_peak_bytes(sc, 24) - records_peak_bytes(sc, 6) <= snapshot_bytes
 
+    def test_dense_state_keeps_one_snapshot(self):
+        sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
+        snapshot_bytes = initial_density(sc).data.nbytes
+        times = np.linspace(0.0, sc.total_time(), 24)
+        tracemalloc.start()
+        try:
+            traj = run_scenario(sc, times)
+            traj.dense_state(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # reading the states list would have made and kept all 24 snapshots
+        assert peak <= 1.5 * snapshot_bytes
+        assert "states" not in vars(traj)
+
+    @pytest.mark.parametrize("runner", [run_scenario, branch_run], ids=["dense", "branch"])
+    def test_walked_dense_state_equals_listed(self, runner):
+        sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0, phi=0.8)
+        times = np.linspace(0.0, sc.total_time(), 5)
+        walked, listed = runner(sc, times), runner(sc, times)
+        listed.states
+        for i in (0, 2, 4, -1):
+            assert np.array_equal(walked.dense_state(i).data, listed.dense_state(i).data)
+        assert "states" not in vars(walked)
+        with pytest.raises(IndexError):
+            walked.dense_state(5)
+
     @pytest.mark.parametrize("runner", [run_scenario, branch_run], ids=["dense", "branch"])
     @pytest.mark.parametrize("frame", ["rotating", "lab"])
     def test_streamed_records_equal_listed_records(self, runner, frame):

@@ -246,6 +246,50 @@ def accepted_steps(counts: dict) -> int:
     return sum(result[2] for result in counts["advance"])
 
 
+class TestTaylorStep:
+    """A classic RK4 step of a linear, constant generator is its degree-4 Taylor sum."""
+
+    @staticmethod
+    def classic_rk4(gen, rho, h):
+        k1 = gen.apply(rho)
+        k2 = gen.apply(rho + 0.5 * h * k1)
+        k3 = gen.apply(rho + 0.5 * h * k2)
+        k4 = gen.apply(rho + h * k3)
+        return rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    @staticmethod
+    def lossy_generator(stage):
+        sc = Scenario().variant(
+            n1=3, n2=4, omega_1=0.4, omega_2=0.7, Omega_1=None, Omega_2=None,
+            g=0.3, q=0.2, ramsey_angle=0.9, stage_durations=(3.0, 1.0, 2.0, 1.0, 3.0),
+        )
+        return lindblad._StageGenerator(sc, stage, standard_layout(sc.n1, sc.n2).dims)
+
+    @pytest.mark.parametrize("stage", [StageKind.CAVITY1, StageKind.FREE1, StageKind.RAMSEY])
+    def test_rk4_matches_classic_stages(self, stage):
+        gen = self.lossy_generator(stage)
+        rho = random_density(np.random.default_rng(11), 2 * 4 * 5)
+        h = 0.2
+        want = self.classic_rk4(gen, rho, h)
+        kept = lindblad._rk4(gen, rho, h, lindblad._powers(gen, rho))
+        start = rho.copy()
+        fresh = lindblad._rk4(gen, start, h)
+        assert fresh is start  # without powers the step is taken in place
+        for got in (kept, fresh):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_rejected_attempt_costs_four_applies(self, monkeypatch):
+        counts = count_integrator_hooks(monkeypatch)
+        gen = self.lossy_generator(StageKind.CAVITY1)
+        rho = random_density(np.random.default_rng(5), 2 * 4 * 5)
+        cfg = IntegratorConfig(initial_step=3.0, abs_tol=1e-10, max_step=3.0)
+        _, _, steps = lindblad._advance(gen, rho, [3.0], cfg)
+        attempts = counts["rk4"] // 3
+        assert counts["rk4"] == 3 * attempts and attempts > steps > 0
+        # 8 applies for the first attempt from a state, 4 for each retry from it
+        assert counts["apply"] == 8 * steps + 4 * (attempts - steps)
+
+
 class TestStepControl:
     def test_benchmark_hooks_count_attempts(self, monkeypatch):
         # a smooth run whose attempts are all accepted: _rk4 calls = 3 x accepted steps
@@ -267,8 +311,9 @@ class TestStepControl:
         assert counts["rk4"] % 3 == 0
         attempts = counts["rk4"] // 3
         assert attempts > steps  # at least one attempt was rejected
-        # ten applies per attempt; k1 once per accepted step, kept through rejections
-        assert counts["apply"] == 10 * attempts + steps
+        # four applies per attempt for the second half step; L rho ... L^4 rho once
+        # per accepted step, kept through rejections
+        assert counts["apply"] == 4 * attempts + 4 * steps
         dense = run_scenario(sc, times)
         for a, b in zip(oracle.states, dense.states):
             assert trace_distance(a, b) < 1e-6
