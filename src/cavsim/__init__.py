@@ -10,12 +10,10 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analytic import (
-    Stage1Snapshot,
     branch_amplitudes,
     coherence_factor,
     concurrence_stage1,
     rho_stage1,
-    stage1_snapshot,
 )
 from .entanglement import (
     EffectiveQubitReduction,
@@ -33,11 +31,9 @@ from .evolution import (
     Trajectory,
     branch_run,
     default_truncation,
-    dispersive_unitary,
     dispersive_validity,
     dissipative_map,
     initial_density,
-    initial_state,
     ramsey_unitary,
     run_scenario,
     stage_step,
@@ -51,7 +47,6 @@ from .exceptions import (
 )
 from .hilbert import (
     DensityMatrix,
-    PureState,
     SubsystemLayout,
     coherent_overlap,
     mean_photon_number,

@@ -12,7 +12,6 @@ for the numerical backends and the fast path for single-cavity outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,6 @@ from .hilbert import (
     coherent_vector,
     standard_layout,
 )
-
-
-@dataclass(frozen=True)
-class Stage1Snapshot:
-    t: float
-    alpha_e: complex
-    alpha_g: complex
-    beta_1: complex
-    x: complex
-    concurrence: float
 
 
 def branch_amplitudes(t: float, scenario: Scenario) -> tuple[complex, complex, complex]:
@@ -98,18 +87,6 @@ def concurrence_stage1(t: float, scenario: Scenario) -> float:
 def stage1_purity(t: float, scenario: Scenario) -> float:
     """Global purity (1 + |x|^2)/2 during the cavity-1 crossing."""
     return 0.5 * (1.0 + abs(coherence_factor(t, scenario)) ** 2)
-
-
-def stage1_snapshot(t: float, scenario: Scenario) -> Stage1Snapshot:
-    alpha_e, alpha_g, beta_1 = branch_amplitudes(t, scenario)
-    return Stage1Snapshot(
-        t=t,
-        alpha_e=alpha_e,
-        alpha_g=alpha_g,
-        beta_1=beta_1,
-        x=coherence_factor(t, scenario),
-        concurrence=concurrence_stage1(t, scenario),
-    )
 
 
 def rho_stage1(t: float, scenario: Scenario) -> DensityMatrix:

@@ -9,8 +9,8 @@ reported; it is pure numerics whenever the rank-2 structure is exact.
 Extraction runs on stacks: :func:`pairwise_concurrence_stack` takes a
 ``(S, D, D)`` stack of states of one layout and does every pair trace,
 projection and Wootters solve as one batched numpy call over the stack.
-Trajectory records feed it one stack per group of branch snapshots, and each
-dense snapshot as a stack-of-one view, so dense snapshots are never copied.
+Branch records feed it one ``(S, 8, 8)`` stack per trajectory, and each dense
+snapshot as a stack-of-one view, so dense snapshots are never copied.
 The single-state functions below are stack-of-one calls into the same core,
 and a stack entry gives exactly the result of the single-state call.
 """

@@ -60,7 +60,6 @@ from .hilbert import (
     GROUND,
     TRACE_TOL,
     DensityMatrix,
-    PureState,
     SubsystemLayout,
     coherent_overlap,
     coherent_vector,
@@ -143,8 +142,14 @@ class Scenario:
                     )
         for name in ("n1", "n2"):
             n = getattr(self, name)
-            if n is not None and n < 1:
+            if n is None:
+                continue
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ConfigError(f"truncation must be an integer, not {n!r}", key=name)
+            if n < 1:
                 raise ConfigError("truncation must be at least 1", key=name)
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ConfigError("tail_tol must lie in (0, 1)", key="tail_tol")
         return self
 
     def stage_times(self) -> np.ndarray:
@@ -229,16 +234,6 @@ def dispersive_validity(scenario: Scenario) -> ValidityReport:
 # ---------------------------------------------------------------------------
 
 
-def dispersive_unitary(omega: float, tau: float, truncation: int) -> np.ndarray:
-    """Diagonal unitary of one cavity crossing on atom x Fock(truncation).
-
-    Phase exp(-i omega tau (n+1)) on |e,n> and exp(+i omega tau n) on |g,n>.
-    """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    return np.diag(np.concatenate(_dispersive_phases(omega, tau, truncation + 1)))
-
-
 def ramsey_unitary(theta: float) -> np.ndarray:
     """Atomic rotation exp(-i theta sigma_x) of total pulse area theta."""
     c, s = math.cos(theta), math.sin(theta)
@@ -256,7 +251,10 @@ def _phase_powers(scalar: complex, count: int) -> np.ndarray:
 
 
 def _dispersive_phases(omega: float, tau: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dispersive phases on |e,n> and on |g,n> for n < d (see :func:`dispersive_unitary`)."""
+    """Dispersive phases on |e,n> and on |g,n> for n < d.
+
+    Phase exp(-i omega tau (n+1)) on |e,n> and exp(+i omega tau n) on |g,n>.
+    """
     powers = _phase_powers(np.exp(-1j * omega * tau), d + 1)
     return powers[1:], powers[:d].conj()
 
@@ -449,18 +447,14 @@ def stage_step(
 # ---------------------------------------------------------------------------
 
 
-def initial_state(scenario: Scenario) -> PureState:
+def initial_density(scenario: Scenario) -> DensityMatrix:
     """(|e> + e^{-i phi/2}|g>)/sqrt(2) tensor |alpha> tensor |beta>, truncated."""
     n1, n2 = scenario.truncations()
     atom = np.array([1.0, np.exp(-0.5j * scenario.phi)]) / math.sqrt(2.0)
     c1 = coherent_vector(scenario.alpha, n1, scenario.tail_tol)
     c2 = coherent_vector(scenario.beta, n2, scenario.tail_tol)
     vec = np.kron(atom, np.kron(c1, c2))
-    return PureState(standard_layout(n1, n2), vec)
-
-
-def initial_density(scenario: Scenario) -> DensityMatrix:
-    return initial_state(scenario).to_density_matrix()
+    return DensityMatrix(standard_layout(n1, n2), np.outer(vec, vec.conj()))
 
 
 @dataclass(frozen=True)

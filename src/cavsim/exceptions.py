@@ -6,7 +6,7 @@ class TruncationTooSmall(ValueError):
 
 
 class NonPhysicalState(ValueError):
-    """A density matrix violates Hermiticity, unit trace or positivity."""
+    """A density matrix violates Hermiticity or unit trace."""
 
 
 class UnsupportedInitialState(TypeError):

@@ -19,7 +19,6 @@ from .exceptions import NonPhysicalState, TruncationTooSmall
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
-POSITIVITY_TOL = -1e-9
 
 EXCITED = 0
 GROUND = 1
@@ -63,28 +62,6 @@ def standard_layout(n1: int, n2: int) -> SubsystemLayout:
 
 
 @dataclass(frozen=True)
-class PureState:
-    """Normalized state vector with an explicit subsystem layout."""
-
-    layout: SubsystemLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (self.layout.dim,):
-            raise ValueError("amplitude vector does not match the layout dimension")
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond 1e-10")
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive matrix with an explicit subsystem layout.
 
@@ -110,21 +87,14 @@ class DensityMatrix:
         # Tr rho^2 = ||rho||_F^2 for Hermitian rho
         return float(np.vdot(self.data, self.data).real)
 
-    def validate(self, check_positivity: bool = False):
-        """Check the physicality invariants, raising :class:`NonPhysicalState`.
-
-        The positivity check costs a full eigendecomposition and is opt-in.
-        """
+    def validate(self):
+        """Check Hermiticity and unit trace, raising :class:`NonPhysicalState`."""
         herm = float(np.max(np.abs(self.data - self.data.conj().T)))
         if herm > HERMITICITY_TOL:
             raise NonPhysicalState(f"Hermiticity violation {herm:.3e}")
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise NonPhysicalState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if check_positivity:
-            lam_min = float(np.linalg.eigvalsh(self.data)[0])
-            if lam_min < POSITIVITY_TOL:
-                raise NonPhysicalState(f"negative eigenvalue {lam_min:.3e}")
         return self
 
 

@@ -13,7 +13,7 @@ from cavsim import (
     trace_distance,
     wootters_concurrence,
 )
-from cavsim.analytic import phase_space_rows, stage1_purity, stage1_snapshot
+from cavsim.analytic import phase_space_rows, stage1_purity
 from cavsim.entanglement import effective_two_qubit
 from cavsim.hilbert import coherent_vector
 
@@ -177,12 +177,10 @@ class TestConcurrenceStage1:
 
 
 class TestSnapshotsAndPhaseSpace:
-    def test_snapshot_fields(self):
+    def test_closed_forms_are_bounded(self):
         sc = stage1_scenario(alpha=1.0, g=0.1)
-        snap = stage1_snapshot(40.0, sc)
-        assert snap.t == 40.0
-        assert abs(snap.x) <= 1.0 + 1e-12
-        assert 0.0 <= snap.concurrence <= 1.0
+        assert abs(coherence_factor(40.0, sc)) <= 1.0 + 1e-12
+        assert 0.0 <= concurrence_stage1(40.0, sc) <= 1.0
 
     def test_phase_space_rows(self):
         sc = stage1_scenario(alpha=1.0, g=0.2)

@@ -56,6 +56,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("omega_1 = 5e-3")
 
+    @pytest.mark.parametrize("value", ["-1", "0", "2"])
+    def test_tail_tol_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"tail_tol = {value}")
+        assert err.value.key == "tail_tol"
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config("alpha = 1\nbogus = 2\n")

@@ -17,7 +17,6 @@ from cavsim import (
     UnsupportedInitialState,
     branch_run,
     default_truncation,
-    dispersive_unitary,
     dispersive_validity,
     dissipative_map,
     evolution,
@@ -38,6 +37,7 @@ from cavsim.evolution import BranchState as BS
 from cavsim.evolution import (
     STAGE_ORDER,
     _branch_rotate,
+    _dispersive_phases,
     _field_kernels,
     _rotate_atom,
     branch_compress,
@@ -45,8 +45,8 @@ from cavsim.evolution import (
     branch_step,
 )
 from cavsim.hilbert import coherent_vector
-from cavsim.validation import CONCURRENCES, FRAME_TOL, SEMIGROUP_TOL
-from cavsim.validation import _frame_shift, _record_gap, _semigroup_gap
+from cavsim.validation import CONCURRENCES, FRAME_TOL, MIN_EIGENVALUE, SEMIGROUP_TOL
+from cavsim.validation import _frame_shift, _min_eigenvalue, _record_gap, _semigroup_gap
 
 from conftest import margin_scenario, random_density, stage1_scenario
 
@@ -89,24 +89,23 @@ def amplitude_damping_kraus(n: int, eta: float) -> list[np.ndarray]:
 
 class TestStageOperators:
     def test_dispersive_identity_at_zero(self):
-        assert np.allclose(dispersive_unitary(0.1, 0.0, 5), np.eye(12))
+        assert np.allclose(np.concatenate(_dispersive_phases(0.1, 0.0, 6)), np.ones(12))
 
     def test_dispersive_vacuum_phases(self):
-        u = dispersive_unitary(1.0, math.pi, 3)
-        assert u[0, 0] == pytest.approx(-1.0)  # |e,0>
-        assert u[4, 4] == pytest.approx(1.0)  # |g,0>
+        on_e, on_g = _dispersive_phases(1.0, math.pi, 4)
+        assert on_e[0] == pytest.approx(-1.0)  # |e,0>
+        assert on_g[0] == pytest.approx(1.0)  # |g,0>
 
-    def test_dispersive_unitary_is_unitary(self):
-        u = dispersive_unitary(0.37, 2.1, 6)
-        assert np.allclose(u @ u.conj().T, np.eye(14), atol=1e-12)
+    def test_dispersive_phases_have_unit_modulus(self):
+        phases = np.concatenate(_dispersive_phases(0.37, 2.1, 7))
+        assert np.allclose(np.abs(phases), np.ones(14), atol=1e-12)
 
     def test_dispersive_rotates_coherent_label(self):
         # |e> (x) |z> -> e^{-i w tau} |e> (x) |z e^{-i w tau}>, checked at N=30
         n = 30
         omega, tau, z = 0.2, 3.0, 1.1 + 0.3j
-        u = dispersive_unitary(omega, tau, n)
         vec = np.kron(np.array([1.0, 0.0]), coherent_vector(z, n))
-        out = u @ vec
+        out = np.concatenate(_dispersive_phases(omega, tau, n + 1)) * vec
         phase = np.exp(-1j * omega * tau)
         expected = phase * np.kron(np.array([1.0, 0.0]), coherent_vector(z * phase, n))
         assert np.allclose(out, expected, atol=1e-12)
@@ -265,6 +264,14 @@ def test_steppers_reject_negative_tau(step, start):
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize(
+        "alpha, beta, phi", [(0.5, 1.0, 0.0), (0.8 - 0.3j, 0.4 + 0.6j, 1.3)], ids=["real", "complex"]
+    )
+    def test_initial_density_is_pure_unit_trace(self, alpha, beta, phi):
+        rho = initial_density(Scenario().variant(alpha=alpha, beta=beta, phi=phi))
+        assert abs(rho.trace() - 1.0) < 1e-12
+        assert abs(rho.purity() - 1.0) < 1e-12
+
     def test_zero_durations_returns_initial(self):
         sc = Scenario().variant(stage_durations=(0.0,) * 5, ramsey_angle=0.0)
         traj = run_scenario(sc, [0.0])
@@ -371,8 +378,7 @@ class TestBranchBackend:
     def test_densify_is_physical(self):
         sc = margin_scenario(alpha=1.0, beta=0.5, g=0.5, q=0.5)
         traj = branch_run(sc, [70.0])
-        dm = traj.dense_state(0)
-        dm.validate(check_positivity=True)
+        assert _min_eigenvalue([traj.dense_state(0)]) >= MIN_EIGENVALUE
 
     def test_custom_branch_initial(self):
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.1, q=0.1)
@@ -424,8 +430,7 @@ class TestBranchRecords:
 
     def test_compressed_state_is_physical(self):
         traj = branch_run(margin_scenario(alpha=1.0, beta=0.5, g=0.5, q=0.5), [70.0])
-        small = branch_compress(traj.states[0])
-        small.validate(check_positivity=True)
+        assert _min_eigenvalue([branch_compress(traj.states[0])]) >= MIN_EIGENVALUE
 
     def test_equal_labels_leave_second_basis_vector_empty(self):
         sc = margin_scenario(alpha=1.0, beta=0.5, g=0.3, q=0.6, phi=0.4)
@@ -790,6 +795,22 @@ class TestScenarioValidation:
     def test_wrong_duration_count_rejected(self):
         with pytest.raises(ConfigError):
             Scenario().variant(stage_durations=(1.0, 2.0)).validate()
+
+    @pytest.mark.parametrize("key", ["n1", "n2"])
+    @pytest.mark.parametrize("n", [0, 2.5, True], ids=["zero", "float", "bool"])
+    def test_bad_truncation_rejected(self, key, n):
+        with pytest.raises(ConfigError) as err:
+            Scenario().variant(**{key: n}).validate()
+        assert err.value.key == key
+
+    def test_numpy_integer_truncation_accepted(self):
+        assert Scenario().variant(n1=np.int64(12), n2=np.int32(13)).validate().truncations() == (12, 13)
+
+    @pytest.mark.parametrize("tail_tol", [-1.0, 0.0, 1.0, 2.0])
+    def test_tail_tol_outside_unit_interval_rejected(self, tail_tol):
+        with pytest.raises(ConfigError) as err:
+            Scenario().variant(tail_tol=tail_tol).validate()
+        assert err.value.key == "tail_tol"
 
     def test_default_truncation_rule(self):
         assert default_truncation(0.5) == 11

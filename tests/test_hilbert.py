@@ -6,7 +6,6 @@ import pytest
 from cavsim import (
     DensityMatrix,
     NonPhysicalState,
-    PureState,
     SubsystemLayout,
     TruncationTooSmall,
     coherent_overlap,
@@ -18,6 +17,7 @@ from cavsim import (
 )
 from cavsim import hilbert
 from cavsim.hilbert import coherent_vector, half_trace_norm
+from cavsim.validation import MIN_EIGENVALUE, _min_eigenvalue
 
 from conftest import random_density
 
@@ -26,10 +26,14 @@ def dm(layout, mat):
     return DensityMatrix(layout, np.asarray(mat, dtype=complex))
 
 
+def pure(layout, vec):
+    return DensityMatrix(layout, np.outer(vec, vec.conj()))
+
+
 def coherent(amplitude, truncation, label="field"):
-    """Single-mode PureState of the truncated coherent vector."""
+    """Single-mode density matrix of the truncated coherent vector."""
     layout = SubsystemLayout((truncation + 1,), (label,))
-    return PureState(layout, coherent_vector(amplitude, truncation))
+    return pure(layout, coherent_vector(amplitude, truncation))
 
 
 def qubit_layout(n=1):
@@ -55,9 +59,8 @@ class TestCoherentState:
         assert np.allclose(coherent_vector(0.0, 10), expected)
 
     def test_mean_photon_number_alpha_one(self):
-        st = coherent(1.0, 20)
-        rho = dm(st.layout, np.outer(st.amplitudes, st.amplitudes.conj()))
-        nbar = float(np.dot(np.abs(st.amplitudes) ** 2, np.arange(21)))
+        rho = coherent(1.0, 20)
+        nbar = float(np.dot(np.diag(rho.data).real, np.arange(21)))
         assert abs(nbar - 1.0) < 1e-9
         assert abs(mean_photon_number(rho, 0) - 1.0) < 1e-9
 
@@ -101,11 +104,11 @@ class TestTensorProduct:
     def test_basis_vector_index_zero(self):
         atom = np.array([1.0, 0.0], dtype=complex)
         fields = np.kron(coherent_vector(0.0, 3), coherent_vector(0.0, 2))
-        psi = PureState(standard_layout(3, 2), np.kron(atom, fields))
-        assert psi.layout.dims == (2, 4, 3)
-        expected = np.zeros(24)
-        expected[0] = 1.0
-        assert np.allclose(psi.amplitudes, expected)
+        rho = pure(standard_layout(3, 2), np.kron(atom, fields))
+        assert rho.layout.dims == (2, 4, 3)
+        expected = np.zeros((24, 24))
+        expected[0, 0] = 1.0
+        assert np.allclose(rho.data, expected)
 
     def test_identity_kron(self):
         out = np.kron(np.eye(2), np.eye(3))
@@ -200,14 +203,13 @@ class TestPhotonDistribution:
     def test_vacuum(self):
         layout = SubsystemLayout((2, 7), ("atom", "field1"))
         psi = np.kron(np.array([1.0, 0.0], dtype=complex), coherent_vector(0.0, 6))
-        rho = PureState(layout, psi).to_density_matrix()
+        rho = pure(layout, psi)
         probs = photon_number_distribution(rho, "field1")
         assert probs[0] == pytest.approx(1.0)
         assert np.all(probs[1:] < 1e-14)
 
     def test_coherent_poisson(self):
-        st = coherent(1.0, 25, label="field1")
-        rho = st.to_density_matrix()
+        rho = coherent(1.0, 25, label="field1")
         probs = photon_number_distribution(rho, 0)
         assert probs[0] == pytest.approx(math.exp(-1.0), abs=1e-10)
         assert probs.sum() == pytest.approx(1.0, abs=1e-10)
@@ -222,7 +224,8 @@ class TestPhotonDistribution:
 class TestValidation:
     def test_validate_passes_physical_state(self, rng):
         lay = SubsystemLayout((4,), ("x",))
-        dm(lay, random_density(rng, 4)).validate(check_positivity=True)
+        state = dm(lay, random_density(rng, 4)).validate()
+        assert _min_eigenvalue([state]) >= MIN_EIGENVALUE
 
     def test_validate_rejects_nonhermitian(self):
         lay = qubit_layout()
@@ -235,7 +238,6 @@ class TestValidation:
         with pytest.raises(NonPhysicalState):
             dm(lay, np.diag([0.7, 0.7])).validate()
 
-    def test_validate_rejects_negative_eigenvalue(self):
+    def test_min_eigenvalue_flags_negative_eigenvalue(self):
         lay = qubit_layout()
-        with pytest.raises(NonPhysicalState):
-            dm(lay, np.diag([1.5, -0.5])).validate(check_positivity=True)
+        assert _min_eigenvalue([dm(lay, np.diag([1.5, -0.5]))]) < MIN_EIGENVALUE
