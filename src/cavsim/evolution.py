@@ -15,7 +15,16 @@ atomic dyad block ``|s><s'|``: a jump series ``exp(F J)`` with
 
 where ``w`` is the dispersive frequency active in the stage and ``lam`` is the
 eigenvalue of ``sigma_z . - . sigma_z`` on the block (0 on diagonal dyads, +2 on
-``|e><g|``, -2 on ``|g><e|``).
+``|e><g|``, -2 on ``|g><e|``).  On the diagonal dyads F is real, so their
+kernels are real and multiply the float view of the complex blocks.
+
+Every pass of the dense stage map (the map's gathers, kernel products,
+scatters and Hermitian fill, the dispersive phases and the Ramsey rotation)
+runs in two disjoint halves: one on the calling thread, one on the module's
+single worker thread (made afresh in a forked child).  numpy releases the GIL
+inside these operations, and the halves make the very numpy and BLAS calls
+one thread would, so the results are bit-identical to a serial run.  A pass
+too small to repay the hand-over runs both halves on the calling thread.
 
 Two equivalent backends are provided: a dense matrix backend
 (:func:`run_scenario`) and an exact coherent-branch backend
@@ -47,7 +56,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import warnings
+from concurrent import futures
 from dataclasses import dataclass
 from enum import Enum
 
@@ -294,16 +305,16 @@ def _field_kernels(gamma: float, omega_k: float, lam: int, tau: float, d: int):
     e^{-gamma tau (n+m)} folded into the rows; the same kernel serves offset
     -o because the coefficient is symmetric in (n, m).  With c = j+k the two
     roots are sqrt(C(c+o, j+o)) and sqrt(C(c, j)), so every kernel is a view
-    of one (d, d, d) product of the shared table.
+    of one (d, d, d) product of the shared table.  On the diagonal dyads
+    (lam = 0) F is real, and so are the kernels: they are float64 there.
     """
     f = _f_coefficient(gamma, omega_k * lam, tau)
     damp = np.exp(-gamma * tau * np.arange(d)) if gamma > 0 and tau > 0 else np.ones(d)
     # root[n, c] = sqrt(C(c, n)) e^{-gamma tau n}, zero-padded to fit every window below
     root = np.zeros((2 * d, 2 * d))
     root[:d, :d] = _sqrt_binomials(d) * damp[:, None]
-    fpow = np.empty(d, dtype=complex)
+    fpow = np.full(d, f.real if lam == 0 else f)
     fpow[0] = 1.0
-    fpow[1:] = f
     np.cumprod(fpow, out=fpow)
     ks = np.arange(d)
     # head[j, c] = F^(c-j) sqrt(C(c, j)) e^{-gamma tau j}, zero below the diagonal
@@ -317,19 +328,74 @@ def _field_kernels(gamma: float, omega_k: float, lam: int, tau: float, d: int):
     return [kernels[o, : d - o, : d - o] for o in range(d)]
 
 
+# entries below which a pass runs both halves on the calling thread: a hand-over
+# costs about 0.07 ms, and on two cores the passes broke even at 5e4 to 1.5e5 entries
+HALVES_MIN_SIZE = 1 << 17
+
+
+def _renew_halves_pool() -> None:
+    """Make the one worker thread that runs the second half of every pass."""
+    global _HALVES
+    _HALVES = futures.ThreadPoolExecutor(1, thread_name_prefix="cavsim-halves")
+
+
+_renew_halves_pool()
+# a forked child inherits the executor but not its thread, so it makes its own
+os.register_at_fork(after_in_child=_renew_halves_pool)
+
+
+def _in_halves(size: int, fn, first, second) -> None:
+    """fn(*first) on the calling thread while the worker runs fn(*second).
+
+    Returns when both are done: the worker's half is waited for also when the
+    caller's half raises.  The two halves write disjoint parts of their
+    outputs and make the calls that ``fn(*first); fn(*second)`` makes, so the
+    result is exactly that of the serial pair, which is what runs for a pass
+    of fewer than ``HALVES_MIN_SIZE`` entries (``size``), where the hand-over
+    would cost more than the half it moves.
+    """
+    if size < HALVES_MIN_SIZE:
+        fn(*first)
+        fn(*second)
+        return
+    future = _HALVES.submit(fn, *second)
+    try:
+        fn(*first)
+    finally:
+        futures.wait((future,))
+    future.result()
+
+
+def _split_rows(fn, *arrays) -> None:
+    """fn(*arrays) as two calls, one per half of the arrays' first axis (:func:`_in_halves`)."""
+    cut = len(arrays[0]) // 2
+    _in_halves(arrays[0].size, fn, [a[:cut] for a in arrays], [a[cut:] for a in arrays])
+
+
+def _kernel_products(kernels, src: np.ndarray, out: np.ndarray, upper: bool) -> None:
+    # the offset-o diagonals (n, m) = (j+o, j), o >= 0, or (j, j+o), o >= 1
+    d = len(kernels)
+    for o in range(1 if upper else 0, d):
+        start = o if upper else o * d
+        rows = slice(start, start + (d - o - 1) * (d + 1) + 1, d + 1)
+        np.matmul(kernels[o], src[rows], out=out[rows])
+
+
 def _apply_field_kernels(src: np.ndarray, kernels, out: np.ndarray) -> None:
     """Apply one field's per-offset kernels to ``src`` laid out as (n, m, rest), into ``out``.
 
     Flattened to (n m, rest), the offset-o diagonal (n, m) = (j+o, j) is the row
     slice o d :: d+1 and (j, j+o) is o :: d+1, so each kernel multiplies a
     strided row view with contiguous rest entries and writes its rows of ``out``.
+    Real kernels multiply the float view, real and imaginary parts alike.  The
+    diagonals with n >= m and those with n < m are the two halves, of equal
+    cost but for the main diagonal's.
     """
-    d = src.shape[0]
+    d, size = src.shape[0], src.size
     src, out = src.reshape(d * d, -1), out.reshape(d * d, -1)
-    for o in range(d):
-        for start in (o * d, o) if o else (0,):
-            rows = slice(start, start + (d - o - 1) * (d + 1) + 1, d + 1)
-            np.matmul(kernels[o], src[rows], out=out[rows])
+    if kernels[0].dtype == float:
+        src, out = src.view(float), out.view(float)
+    _in_halves(size, _kernel_products, (kernels, src, out, False), (kernels, src, out, True))
 
 
 def dissipative_map(
@@ -339,8 +405,8 @@ def dissipative_map(
 
     A field without loss (or a zero step) has the identity kernel and is skipped.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and non-negative, not {tau!r}")
     d1, d2 = rho.layout.dims[1], rho.layout.dims[2]
     w1k, w2k = scenario.omega_active(stage)
     fields = ((scenario.gamma_1, w1k, d1), (scenario.gamma_2, w2k, d2))
@@ -351,7 +417,7 @@ def dissipative_map(
         for lam in (0, 2)
     }
     r = rho.data.reshape(2, d1, d2, 2, d1, d2)
-    out = np.empty_like(r)
+    out = np.empty(r.shape, dtype=complex)
     # two work buffers of one dyad block, shared by every block and both fields:
     # a field's input is gathered into ``src`` and its kernels write ``dst``
     src, dst = np.empty(2 * (d1 * d2) ** 2, dtype=complex).reshape(2, -1)
@@ -360,21 +426,21 @@ def dissipative_map(
         # b is laid out (n1, n2, m1, m2); field 1 acts on (n1, m1), then field 2 on (n2, m2)
         b = r[s, :, :, sp, :, :]
         if k1 is not None:
-            np.copyto(src.reshape(d1, d1, d2, d2), b.transpose(0, 2, 1, 3))
+            _split_rows(np.copyto, src.reshape(d1, d1, d2, d2), b.transpose(0, 2, 1, 3))
             _apply_field_kernels(src.reshape(d1, d1, d2 * d2), k1, dst)
             b = dst.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3)
         if k2 is not None:
-            np.copyto(src.reshape(d2, d2, d1, d1), b.transpose(1, 3, 0, 2))
+            _split_rows(np.copyto, src.reshape(d2, d2, d1, d1), b.transpose(1, 3, 0, 2))
             _apply_field_kernels(src.reshape(d2, d2, d1 * d1), k2, dst)
             b = dst.reshape(d2, d2, d1, d1).transpose(2, 0, 3, 1)
-        out[s, :, :, sp, :, :] = b
+        _split_rows(np.copyto, out[s, :, :, sp, :, :], b)
     # the (g, e) block is fixed by Hermiticity of the input; together with the
     # real diagonal-dyad kernels this preserves Hermiticity by construction
     eg = out[EXCITED, :, :, GROUND, :, :]
-    out[GROUND, :, :, EXCITED, :, :] = eg.transpose(2, 3, 0, 1).conj()
+    _split_rows(np.conjugate, eg.transpose(2, 3, 0, 1), out[GROUND, :, :, EXCITED, :, :])
     data = out.reshape(rho.dim, rho.dim)
     tr = complex(np.trace(data))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:  # NaN fails too
         raise NonPhysicalState(f"dissipative map broke the trace by {abs(tr - 1.0):.3e}")
     return DensityMatrix(rho.layout, data)
 
@@ -400,9 +466,16 @@ def _rotate_atom(rho: DensityMatrix, theta: float) -> DensityMatrix:
     """Conjugate the atom of rho by the Ramsey rotation of pulse area theta."""
     r2, rest = ramsey_unitary(theta), rho.layout.dims[1] * rho.layout.dims[2]
     # R on the row atom index is one product; R* on the column atom index is a
-    # batch of 2 x 2 products, one per (row, field column)
-    left = (r2 @ rho.data.reshape(2, -1)).reshape(2 * rest, 2, rest)
-    data = np.matmul(r2.conj(), left).reshape(2 * rest, 2 * rest)
+    # batch of 2 x 2 products, one per (row, field column).  Each runs in two
+    # halves: the batch split by rows, the product by columns at a multiple of
+    # 64, where (unlike at an odd cut) the halves equal the unsplit product
+    flat = rho.data.reshape(2, -1)
+    left, data = np.empty(flat.shape, dtype=complex), np.empty((rho.dim, rho.dim), dtype=complex)
+    cut = flat.shape[1] // 128 * 64
+    batch, rotated = left.reshape(2 * rest, 2, rest), data.reshape(2 * rest, 2, rest)
+    halves = [(r2, flat[:, cols], left[:, cols]) for cols in (slice(cut), slice(cut, None))]
+    _in_halves(flat.size, np.matmul, *halves)
+    _split_rows(functools.partial(np.matmul, r2.conj()), batch, rotated)
     return DensityMatrix(rho.layout, data)
 
 
@@ -413,6 +486,14 @@ def _ramsey_area(scenario: Scenario, tau: float) -> float:
 
 
 PHASE_ROWS = 32  # rows per block of the dispersive phases, small enough to stay in cache
+
+
+def _phase_rows(data: np.ndarray, ph: np.ndarray, phc: np.ndarray) -> None:
+    # row and column phases per block of rows, in one pass over the rows
+    for i in range(0, len(ph), PHASE_ROWS):
+        block = data[i : i + PHASE_ROWS]
+        block *= ph[i : i + PHASE_ROWS, None]
+        block *= phc
 
 
 def stage_step(
@@ -432,11 +513,10 @@ def stage_step(
             ph = np.stack(_dispersive_phases(omega, tau, dims[axis])).reshape(shape)
             ph = np.broadcast_to(ph, dims).reshape(-1)
             phc = ph.conj()
-            # row and column phases per block of rows, in one pass over the matrix
-            for i in range(0, len(ph), PHASE_ROWS):
-                block = data[i : i + PHASE_ROWS]
-                block *= ph[i : i + PHASE_ROWS, None]
-                block *= phc
+            # two halves of whole row blocks
+            cut = PHASE_ROWS * -(-len(ph) // (2 * PHASE_ROWS))
+            halves = [(data[rows], ph[rows], phc) for rows in (slice(cut), slice(cut, None))]
+            _in_halves(data.size, _phase_rows, *halves)
     if stage is StageKind.RAMSEY and (theta := _ramsey_area(scenario, tau)):
         return _rotate_atom(out, theta)
     return out
@@ -715,8 +795,8 @@ def branch_step(bs: BranchState, stage: StageKind, tau: float, scenario: Scenari
 
     This is a rotating-frame map: ``scenario.frame`` is not read.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and non-negative, not {tau!r}")
     sc = scenario
     w1k, w2k = sc.omega_active(stage)
     dec1, dec2 = math.exp(-sc.gamma_1 * tau), math.exp(-sc.gamma_2 * tau)

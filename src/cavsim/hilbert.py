@@ -89,11 +89,12 @@ class DensityMatrix:
 
     def validate(self):
         """Check Hermiticity and unit trace, raising :class:`NonPhysicalState`."""
+        # each guard is written so that NaN fails it
         herm = float(np.max(np.abs(self.data - self.data.conj().T)))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise NonPhysicalState(f"Hermiticity violation {herm:.3e}")
         tr = self.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise NonPhysicalState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         return self
 
@@ -184,7 +185,7 @@ def photon_number_distribution(rho: DensityMatrix, field) -> np.ndarray:
     reduced = partial_trace(rho, (idx,))
     probs = np.real(np.diag(reduced.data)).copy()
     total = probs.sum()
-    if abs(total - 1.0) > TRACE_TOL:
+    if not abs(total - 1.0) <= TRACE_TOL:
         raise NonPhysicalState(f"photon distribution sums to {total}")
     return probs
 

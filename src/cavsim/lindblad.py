@@ -26,6 +26,7 @@ in one pass per stage, so the step size carries over from one sample to the next
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,8 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
             half = _rk4(gen, _rk4(gen, rho, 0.5 * step, powers), 0.5 * step)
             # the full step lives only as long as its difference from the two half steps
             err = float(np.max(np.abs(_rk4(gen, rho, step, powers) - half)))
+            if math.isnan(err):  # rejected and shrunk like an infinite error
+                err = math.inf
             ratio = SAFETY * (config.abs_tol / err) ** 0.2 if err > 0 else MAX_FACTOR
             proposal = step * min(MAX_FACTOR, max(MIN_FACTOR, ratio))
             if err > config.abs_tol:
@@ -164,7 +167,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
             powers = None
             tr = float(np.trace(half).real)
             drift = abs(tr - 1.0)
-            if drift > DRIFT_LIMIT:
+            if not drift <= DRIFT_LIMIT:  # NaN fails too
                 raise StepUnderflow(
                     f"trace drift {drift:.3e} per step exceeds {DRIFT_LIMIT}; "
                     "tighten abs_tol or shrink initial_step"
@@ -172,7 +175,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
             max_drift = max(max_drift, drift)
             rho = np.divide(half, tr, out=half)
             herm = float(np.max(np.abs(rho - rho.conj().T)))
-            if herm > HERMITICITY_TOL:
+            if not herm <= HERMITICITY_TOL:
                 raise StepUnderflow(f"Hermiticity drift {herm:.3e} during integration")
         states.append(rho)
     return states, max_drift, steps

@@ -1,5 +1,10 @@
 import math
+import multiprocessing
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeout
 
 import numpy as np
 import pytest
@@ -201,6 +206,7 @@ class TestDenseKernels:
         got = _field_kernels(gamma, 0.2, lam, tau, d)
         want = loop_field_kernels(gamma, 0.2, lam, tau, d)
         assert len(got) == d
+        assert got[0].dtype == (float if lam == 0 else complex)
         for o, (a, b) in enumerate(zip(got, want)):
             assert a.shape == b.shape == (d - o, d - o)
             assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b)), o
@@ -261,6 +267,118 @@ def test_steppers_reject_negative_tau(step, start):
     sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0)
     with pytest.raises(ValueError, match="non-negative"):
         step(start(sc), StageKind.CAVITY1, -1.0, sc)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "step, start",
+    [
+        (stage_step, initial_density),
+        (dissipative_map, initial_density),
+        (branch_step, BS.from_scenario),
+    ],
+    ids=["stage_step", "dissipative_map", "branch"],
+)
+def test_steppers_reject_nonfinite_tau(step, start, tau):
+    # NaN used to return the input state unchanged, inf a NaN matrix or NaN weights
+    sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0)
+    with pytest.raises(ValueError, match="finite"):
+        step(start(sc), StageKind.CAVITY1, tau, sc)
+
+
+def test_map_trace_guard_rejects_nan():
+    sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0)
+    rho = initial_density(sc)
+    with pytest.raises(NonPhysicalState):
+        nan = DensityMatrix(rho.layout, np.full_like(rho.data, np.nan))
+        dissipative_map(nan, StageKind.CAVITY1, 5.0, sc)
+
+
+def run_halves_inline(size, fn, first, second):
+    fn(*first)
+    fn(*second)
+
+
+def dense_last_purity(sc: Scenario) -> float:
+    return run_scenario(sc, [0.0, 30.0, sc.total_time()]).records()[-1].purity
+
+
+class TestThreadedHalves:
+    """Each pass of the dense map, the dispersive phases and the Ramsey rotation
+    runs in two halves, the second on a worker thread (``evolution._in_halves``)."""
+
+    @pytest.mark.parametrize(
+        "g, q", [(0.5, 0.3), (0.0, 0.7), (0.0, 0.0)], ids=["lossy", "field2", "lossless"]
+    )
+    def test_threads_equal_one_thread(self, monkeypatch, g, q):
+        sc = Scenario().variant(alpha=1.0, beta=0.8 + 0.3j, g=g, q=q, phi=0.4, n1=15, n2=17)
+        rho = initial_density(sc)
+        stages = (StageKind.CAVITY1, StageKind.RAMSEY, StageKind.CAVITY2)
+        monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", 0)  # every pass on two threads
+        threaded = [stage_step(rho, stage, 7.0, sc).data for stage in stages]
+        monkeypatch.setattr(evolution, "_in_halves", run_halves_inline)
+        for stage, want in zip(stages, threaded):
+            assert np.array_equal(stage_step(rho, stage, 7.0, sc).data, want), stage
+
+    def test_small_passes_stay_on_the_calling_thread(self):
+        threads = []
+        half = lambda: threads.append(threading.get_ident())  # noqa: E731
+        evolution._in_halves(evolution.HALVES_MIN_SIZE - 1, half, (), ())
+        evolution._in_halves(evolution.HALVES_MIN_SIZE, half, (), ())
+        assert threads[:3] == [threading.get_ident()] * 3 and threads[3] != threads[0]
+
+    @pytest.mark.parametrize("n1, n2", [(4, 6), (15, 17), (26, 26)])
+    def test_rotation_halves_equal_the_unsplit_products(self, rng, monkeypatch, n1, n2):
+        # the row product is cut by columns: the halves must round as the whole does
+        layout = standard_layout(n1, n2)
+        data = rng.normal(size=(layout.dim,) * 2) + 1j * rng.normal(size=(layout.dim,) * 2)
+        r2, rest = ramsey_unitary(0.7), layout.dim // 2
+        left = (r2 @ data.reshape(2, -1)).reshape(2 * rest, 2, rest)
+        want = np.matmul(r2.conj(), left).reshape(layout.dim, layout.dim)
+        for min_size in (evolution.HALVES_MIN_SIZE, 0):
+            monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", min_size)
+            assert np.array_equal(evolution._rotate_atom(DensityMatrix(layout, data), 0.7).data, want)
+
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 3), (1, 12), (27, 2), (12, 27)])
+    def test_real_kernels_match_complex(self, rng, d1, d2):
+        src = rng.normal(size=(d1, d1, d2 * d2)) + 1j * rng.normal(size=(d1, d1, d2 * d2))
+        kernels = _field_kernels(0.03, 0.2, 0, 17.0, d1)
+        assert kernels[0].dtype == float
+        got, want = np.empty_like(src), np.empty_like(src)
+        evolution._apply_field_kernels(src, kernels, got)
+        evolution._apply_field_kernels(src, [k.astype(complex) for k in kernels], want)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_worker_half_is_waited_for_when_caller_half_raises(self):
+        done = []
+
+        def half(fail):
+            if fail:
+                raise RuntimeError("caller half")
+            time.sleep(0.2)
+            done.append(True)
+
+        with pytest.raises(RuntimeError, match="caller half"):
+            evolution._in_halves(evolution.HALVES_MIN_SIZE, half, (True,), (False,))
+        assert done == [True]
+
+    def test_dense_run_in_forked_worker_after_a_map(self, monkeypatch):
+        # sweep --jobs forks a ProcessPoolExecutor; the parent's worker thread has run
+        monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", 0)
+        sc = Scenario().variant(alpha=0.5, beta=0.5, g=0.5, q=0.5)
+        want = dense_last_purity(sc)
+        pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+        try:
+            future = pool.submit(dense_last_purity, sc)
+            try:
+                got = future.result(timeout=120)
+            except FuturesTimeout:
+                for proc in pool._processes.values():  # a hung child must not outlive the test
+                    proc.terminate()
+                raise
+        finally:
+            pool.shutdown()
+        assert got == want
 
 
 class TestRunScenario:

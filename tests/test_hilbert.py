@@ -238,6 +238,11 @@ class TestValidation:
         with pytest.raises(NonPhysicalState):
             dm(lay, np.diag([0.7, 0.7])).validate()
 
+    def test_validate_rejects_nan(self):
+        # a NaN Hermiticity defect and trace compare False with any tolerance
+        with pytest.raises(NonPhysicalState):
+            dm(qubit_layout(), np.full((2, 2), np.nan, dtype=complex)).validate()
+
     def test_min_eigenvalue_flags_negative_eigenvalue(self):
         lay = qubit_layout()
         assert _min_eigenvalue([dm(lay, np.diag([1.5, -0.5]))]) < MIN_EIGENVALUE

@@ -124,6 +124,10 @@ class TestLiouvillianApply:
         assert da_dt == pytest.approx(-gamma * z, abs=1e-9)
 
 
+def nan_apply(gen, rho):
+    return np.full_like(rho, np.nan)
+
+
 class TestIntegrate:
     def test_zero_generator_constant(self):
         sc = Scenario().variant(
@@ -188,6 +192,20 @@ class TestIntegrate:
         cfg = IntegratorConfig(initial_step=0.1, abs_tol=1e-30, max_step=0.1)
         with pytest.raises(StepUnderflow):
             run_oracle(sc, [10.0], cfg, initial=rho0)
+
+    def test_nan_generator_underflows(self, monkeypatch):
+        # a NaN local error is rejected and shrinks the step; it used to be accepted
+        sc = stage1_scenario(alpha=0.5, g=0.5, t1=10.0, extra=0)
+        monkeypatch.setattr(lindblad._StageGenerator, "apply", nan_apply)
+        with pytest.raises(StepUnderflow, match="step below"):
+            run_oracle(sc, [10.0])
+
+    def test_nan_drift_rejected_at_fixed_steps(self, monkeypatch):
+        # abs_tol = inf accepts every step, so the trace-drift guard must catch NaN
+        sc = stage1_scenario(alpha=0.5, g=0.5, t1=10.0, extra=0)
+        monkeypatch.setattr(lindblad._StageGenerator, "apply", nan_apply)
+        with pytest.raises(StepUnderflow, match="trace drift"):
+            run_oracle(sc, [10.0], IntegratorConfig(abs_tol=math.inf))
 
     def test_grid_validation(self):
         sc = Scenario().variant(n1=10, n2=10, alpha=0.4, beta=0.4)
