@@ -55,6 +55,6 @@ from .hilbert import (
     standard_layout,
     trace_distance,
 )
-from .lindblad import IntegratorConfig, run_oracle
+from .lindblad import run_oracle
 
 __version__ = "0.1.0"

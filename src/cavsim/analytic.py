@@ -101,8 +101,8 @@ def rho_stage1(t: float, scenario: Scenario) -> DensityMatrix:
     n1, n2 = sc.truncations()
     alpha_e, alpha_g, beta_1 = branch_amplitudes(t, sc)
     x = coherence_factor(t, sc)
-    ce = coherent_vector(alpha_e, n1, sc.tail_tol)
-    cg = coherent_vector(alpha_g, n1, sc.tail_tol)
+    ce = coherent_vector(alpha_e, n1)
+    cg = coherent_vector(alpha_g, n1)
     ke = np.kron(np.array([1.0, 0.0]), ce)
     kg = np.kron(np.array([0.0, 1.0]), cg)
     atom_field1 = 0.5 * (
@@ -111,7 +111,7 @@ def rho_stage1(t: float, scenario: Scenario) -> DensityMatrix:
         + np.conj(x) * np.outer(kg, ke.conj())
         + np.outer(kg, kg.conj())
     )
-    cb = coherent_vector(beta_1, n2, sc.tail_tol)
+    cb = coherent_vector(beta_1, n2)
     full = np.einsum(
         "anbm,jk->anjbmk",
         atom_field1.reshape(2, n1 + 1, 2, n1 + 1),

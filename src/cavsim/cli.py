@@ -140,6 +140,7 @@ def cmd_sweep(args) -> int:
             for g in sweep.g_values:
                 for q in sweep.q_values:
                     pt = scenario.variant(g=g, q=q, alpha=alpha, beta=beta)
+                    dispersive_validity(pt)
                     times = _sample_grid(pt, sweep.n_samples)
                     path = out / sweep_filename(alpha, beta, g, q)
                     if path in tasks:  # names keep 6 significant digits
@@ -158,9 +159,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_preset(args) -> int:
     jobs = presets.preset_jobs(args.name)
+    scenarios = [_apply_overrides(job.scenario, args) for job in jobs]
+    for scenario in scenarios:  # every warning before the first file
+        dispersive_validity(scenario)
     out = _out_dir(args)
-    for job in jobs:
-        scenario = _apply_overrides(job.scenario, args)
+    for job, scenario in zip(jobs, scenarios):
         path = out / job.filename
         if job.mode == "analytic":
             write_records(path, presets.analytic_records(scenario, job.sample_times))

@@ -56,11 +56,8 @@ _KEYS = {
     "Omega_2": ("Omega_2", float),
     "Delta_1": ("Delta_1", float),
     "Delta_2": ("Delta_2", float),
-    "omega_tilde_1": ("omega_tilde_1", float),
-    "omega_tilde_2": ("omega_tilde_2", float),
     "phi": ("phi", float),
     "ramsey_angle": ("ramsey_angle", float),
-    "tail_tol": ("tail_tol", float),
     "alpha": ("alpha", complex),
     "beta": ("beta", complex),
     "durations": ("stage_durations", (float,)),

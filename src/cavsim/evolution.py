@@ -52,6 +52,7 @@ Units: time in microseconds, angular frequencies in rad/us.  The conventional
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import itertools
@@ -112,8 +113,6 @@ class Scenario:
     Omega_2: float | None = 0.025
     Delta_1: float | None = 0.1
     Delta_2: float | None = 0.1
-    omega_tilde_1: float | None = None
-    omega_tilde_2: float | None = None
     gamma_1: float = 0.0
     gamma_2: float = 0.0
     ramsey_angle: float = math.pi / 4
@@ -124,7 +123,6 @@ class Scenario:
     n1: int | None = None
     n2: int | None = None
     frame: str = "rotating"
-    tail_tol: float = 1e-10
 
     def validate(self) -> "Scenario":
         for name, value in vars(self).items():
@@ -159,8 +157,6 @@ class Scenario:
                 raise ConfigError(f"truncation must be an integer, not {n!r}", key=name)
             if n < 1:
                 raise ConfigError("truncation must be at least 1", key=name)
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ConfigError("tail_tol must lie in (0, 1)", key="tail_tol")
         return self
 
     def stage_times(self) -> np.ndarray:
@@ -176,9 +172,7 @@ class Scenario:
         return n1, n2
 
     def omega_tilde(self, i: int) -> float:
-        stored = getattr(self, f"omega_tilde_{i}")
-        if stored is not None:
-            return stored
+        """Cavity i's frequency omega_a - Delta_i (omega_a without a detuning)."""
         delta = getattr(self, f"Delta_{i}")
         return self.omega_a - (delta if delta is not None else 0.0)
 
@@ -531,8 +525,8 @@ def initial_density(scenario: Scenario) -> DensityMatrix:
     """(|e> + e^{-i phi/2}|g>)/sqrt(2) tensor |alpha> tensor |beta>, truncated."""
     n1, n2 = scenario.truncations()
     atom = np.array([1.0, np.exp(-0.5j * scenario.phi)]) / math.sqrt(2.0)
-    c1 = coherent_vector(scenario.alpha, n1, scenario.tail_tol)
-    c2 = coherent_vector(scenario.beta, n2, scenario.tail_tol)
+    c1 = coherent_vector(scenario.alpha, n1)
+    c2 = coherent_vector(scenario.beta, n2)
     vec = np.kron(atom, np.kron(c1, c2))
     return DensityMatrix(standard_layout(n1, n2), np.outer(vec, vec.conj()))
 
@@ -705,11 +699,14 @@ def _closed_form_run(scenario: Scenario, sample_times, state, step, rotate, dres
 
 
 def _density_start(scenario: Scenario, initial) -> DensityMatrix:
-    """The start state of a density-matrix runner: ``initial``, or the scenario's if None."""
-    state = initial if initial is not None else initial_density(scenario)
-    if not isinstance(state, DensityMatrix):
-        raise TypeError("initial must be a DensityMatrix")
-    return state
+    """The start state of a density-matrix runner: the scenario's if ``initial`` is None,
+    else ``initial``, which must be a valid DensityMatrix of layout (2, d1, d2)."""
+    if initial is None:
+        return initial_density(scenario)
+    dims = initial.layout.dims if isinstance(initial, DensityMatrix) else ()
+    if len(dims) != 3 or dims[0] != 2:
+        raise UnsupportedInitialState("initial must be a DensityMatrix of layout (2, d1, d2)")
+    return initial.validate()
 
 
 def run_scenario(scenario: Scenario, sample_times, initial: DensityMatrix | None = None) -> Trajectory:
@@ -751,6 +748,9 @@ class BranchState:
         for labels in (self.labels1, self.labels2):
             if not isinstance(labels, tuple) or len(labels) != 2:
                 raise ValueError(f"labels must be a pair per field, not {labels!r}")
+        labels = self.labels1 + self.labels2
+        if not (np.isfinite(self.weights).all() and all(map(cmath.isfinite, labels))):
+            raise ValueError("weights and labels must be finite")
 
     @staticmethod
     def from_scenario(scenario: Scenario) -> "BranchState":
@@ -867,7 +867,7 @@ def _compress_stack(weights, coords1, coords2) -> tuple[SubsystemLayout, np.ndar
 def branch_densify(bs: BranchState, scenario: Scenario) -> DensityMatrix:
     """Materialize a BranchState as a dense DensityMatrix at the scenario truncations."""
     coords = (
-        np.stack([coherent_vector(lab, n, scenario.tail_tol) for lab in labels], axis=1)[None]
+        np.stack([coherent_vector(lab, n) for lab in labels], axis=1)[None]
         for labels, n in zip((bs.labels1, bs.labels2), scenario.truncations())
     )
     layout, stack = _compress_stack(bs.weights[None], *coords)

@@ -10,7 +10,8 @@ class NonPhysicalState(ValueError):
 
 
 class UnsupportedInitialState(TypeError):
-    """The coherent-branch backend only evolves atomic-superposition x coherent inputs."""
+    """A runner cannot evolve the given initial state: the branch backend takes a BranchState,
+    the density-matrix runners a DensityMatrix of layout (atom, field 1, field 2)."""
 
 
 class StepUnderflow(RuntimeError):

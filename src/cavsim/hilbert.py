@@ -19,6 +19,7 @@ from .exceptions import NonPhysicalState, TruncationTooSmall
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
+TAIL_TOL = 1e-10  # largest coherent-state mass a Fock cutoff may drop
 
 EXCITED = 0
 GROUND = 1
@@ -99,7 +100,7 @@ class DensityMatrix:
         return self
 
 
-def coherent_vector(amplitude: complex, truncation: int, tail_tol: float = 1e-10) -> np.ndarray:
+def coherent_vector(amplitude: complex, truncation: int) -> np.ndarray:
     """Fock amplitudes of a coherent state, renormalized after truncation."""
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -108,9 +109,9 @@ def coherent_vector(amplitude: complex, truncation: int, tail_tol: float = 1e-10
     for n in range(truncation):
         c[n + 1] = c[n] * amplitude / math.sqrt(n + 1)
     kept = float(np.sum(np.abs(c) ** 2))
-    if 1.0 - kept > tail_tol:
+    if 1.0 - kept > TAIL_TOL:
         raise TruncationTooSmall(
-            f"tail mass {1.0 - kept:.3e} beyond n={truncation} exceeds {tail_tol:.1e} "
+            f"tail mass {1.0 - kept:.3e} beyond n={truncation} exceeds {TAIL_TOL:.1e} "
             f"for |amplitude|={abs(amplitude):.4g}"
         )
     return c / math.sqrt(kept)

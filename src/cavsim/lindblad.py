@@ -13,12 +13,12 @@ that elementwise product, the two shifted jump slices a rho a^dag (with 2 gamma
 folded into their sqrt(n m) factors) and, in the Ramsey zone, one atomic swap.
 
 Error control is step doubling: an attempt is one full step and two half steps
-(three ``_rk4`` calls), accepted when max|full - halves| <= abs_tol.  For the
+(three ``_rk4`` calls), accepted when max|full - halves| <= ``ABS_TOL``.  For the
 stage's constant, linear L an RK4 step is the Taylor sum of (hL)^k rho / k! to
 k = 4 (Moler & Van Loan, SIAM Rev. 45, 3 (2003), section 4), so the first two
 calls share L rho ... L^4 rho, kept after a rejection: 8 applies, 4 per retry.
 After every attempt the next step is the attempted one times
-min(MAX_FACTOR, max(MIN_FACTOR, SAFETY (abs_tol / err)^(1/5))) (Hairer, Norsett
+min(MAX_FACTOR, max(MIN_FACTOR, SAFETY (ABS_TOL / err)^(1/5))) (Hairer, Norsett
 & Wanner, Solving ODEs I, II.4).  :func:`run_oracle` walks a scenario's stages
 through the traversal of the closed-form backends (:func:`cavsim.evolution._traverse`)
 in one pass per stage, so the step size carries over from one sample to the next.
@@ -27,7 +27,6 @@ in one pass per stage, so the step size carries over from one sample to the next
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +42,14 @@ from .evolution import (
 from .exceptions import StepUnderflow
 from .hilbert import HERMITICITY_TOL
 
+INITIAL_STEP = 0.1  # us, the first attempt of each stage
+ABS_TOL = 1e-11  # largest accepted max|full step - two half steps|
+MAX_STEP = 2.0  # us
 MIN_STEP = 1e-9
 SAFETY = 0.9  # step controller factors, see the module docstring
 MIN_FACTOR = 0.2
 MAX_FACTOR = 4.0
 DRIFT_LIMIT = 1e-8
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    initial_step: float = 0.1
-    abs_tol: float = 1e-11
-    max_step: float = 2.0
-
-    def __post_init__(self):
-        # written so that NaN fails too; abs_tol = inf (fixed steps) stays legal
-        if not (self.abs_tol > 0 and self.initial_step > 0 and self.max_step > 0):
-            raise ValueError("integrator tolerances and steps must be positive")
 
 
 class _StageGenerator:
@@ -132,16 +122,16 @@ def _rk4(
     return np.add(out, rho, out=out)
 
 
-def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorConfig):
+def _advance(gen: _StageGenerator, rho: np.ndarray, targets):
     """Integrate from 0 through the sorted ``targets``, carrying the step size over.
 
     Returns (one state per target, max trace drift, accepted step count).
     """
-    t, h = 0.0, config.initial_step
+    t, h = 0.0, INITIAL_STEP
     max_drift, steps, states, powers = 0.0, 0, [], None
     for target in targets:
         while t < target - 1e-12 * max(1.0, target):
-            h = min(h, config.max_step)
+            h = min(h, MAX_STEP)
             step = min(h, target - t)
             if powers is None:  # shared by the full and first half step; a rejection keeps rho
                 powers = _powers(gen, rho)
@@ -150,14 +140,14 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
             err = float(np.max(np.abs(_rk4(gen, rho, step, powers) - half)))
             if math.isnan(err):  # rejected and shrunk like an infinite error
                 err = math.inf
-            ratio = SAFETY * (config.abs_tol / err) ** 0.2 if err > 0 else MAX_FACTOR
+            ratio = SAFETY * (ABS_TOL / err) ** 0.2 if err > 0 else MAX_FACTOR
             proposal = step * min(MAX_FACTOR, max(MIN_FACTOR, ratio))
-            if err > config.abs_tol:
+            if err > ABS_TOL:
                 h = proposal
                 if h < MIN_STEP:
                     raise StepUnderflow(
                         f"required step below {MIN_STEP} us (local error {err:.3e}); "
-                        "loosen abs_tol or reduce the truncation"
+                        "reduce the truncation"
                     )
                 continue
             # a step cut short to land on the target says nothing against h
@@ -168,10 +158,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
             tr = float(np.trace(half).real)
             drift = abs(tr - 1.0)
             if not drift <= DRIFT_LIMIT:  # NaN fails too
-                raise StepUnderflow(
-                    f"trace drift {drift:.3e} per step exceeds {DRIFT_LIMIT}; "
-                    "tighten abs_tol or shrink initial_step"
-                )
+                raise StepUnderflow(f"trace drift {drift:.3e} per step exceeds {DRIFT_LIMIT}")
             max_drift = max(max_drift, drift)
             rho = np.divide(half, tr, out=half)
             herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -181,12 +168,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets, config: IntegratorC
     return states, max_drift, steps
 
 
-def run_oracle(
-    scenario: Scenario,
-    sample_times,
-    config: IntegratorConfig = IntegratorConfig(),
-    initial: DensityMatrix | None = None,
-) -> Trajectory:
+def run_oracle(scenario: Scenario, sample_times, initial: DensityMatrix | None = None) -> Trajectory:
     """Five-stage traversal by direct integration of the master equation.
 
     Samples and ``initial`` follow :func:`~cavsim.evolution.run_scenario`.
@@ -202,7 +184,7 @@ def run_oracle(
         if targets[-1] == 0:  # nothing to integrate (e.g. a zero-duration stage): no generator
             return [rho] * len(taus)
         gen = _StageGenerator(scenario, stage, rho.layout.dims)
-        states, _, _ = _advance(gen, rho.data, targets, config)
+        states, _, _ = _advance(gen, rho.data, targets)
         return [DensityMatrix(rho.layout, data) for data in states]
 
     times, walk = _traverse(scenario, sample_times, state, advance, _rotate_atom)

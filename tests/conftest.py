@@ -8,7 +8,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from cavsim import Scenario  # noqa: E402
+from cavsim import Scenario, lindblad  # noqa: E402
 from cavsim.validation import CERT_MARGIN, _with_margin  # noqa: E402
 
 
@@ -41,3 +41,16 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def oracle_controls(monkeypatch):
+    """Setter of the RK4 oracle's step controls for one test, by lower-case name:
+    ``oracle_controls(abs_tol=1e-9)`` patches ``lindblad.ABS_TOL`` (likewise
+    ``initial_step`` and ``max_step``).  ``abs_tol=inf`` accepts every step."""
+
+    def set_controls(**controls):
+        for name, value in controls.items():
+            monkeypatch.setattr(lindblad, name.upper(), value)
+
+    return set_controls

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cavsim import (
-    IntegratorConfig,
     Scenario,
     StageKind,
     StepUnderflow,
@@ -56,18 +55,6 @@ def kron_generator(rho: np.ndarray, stage: StageKind, sc: Scenario) -> np.ndarra
         ad = a.conj().T
         out += gamma * (2.0 * a @ rho @ ad - ad @ a @ rho - rho @ ad @ a)
     return out
-
-
-class TestIntegratorConfig:
-    @pytest.mark.parametrize("field", ["initial_step", "abs_tol", "max_step"])
-    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
-    def test_rejects_nan_and_nonpositive(self, field, value):
-        with pytest.raises(ValueError):
-            IntegratorConfig(**{field: value})
-
-    def test_infinite_tolerance_allowed(self):
-        # abs_tol = inf accepts every step: the fixed-step mode of the convergence test
-        assert IntegratorConfig(abs_tol=math.inf).abs_tol == math.inf
 
 
 class TestLiouvillianApply:
@@ -151,15 +138,15 @@ class TestIntegrate:
             math.exp(-1.0), abs=1e-6
         )
 
-    def test_matches_analytic_stage1(self):
+    def test_matches_analytic_stage1(self, oracle_controls):
         sc = stage1_scenario(alpha=1.0, g=0.05, t1=40.0, extra=5)
         rho0 = initial_density(sc)
-        cfg = IntegratorConfig(abs_tol=1e-9)
-        traj = run_oracle(sc, [20.0, 40.0], cfg, initial=rho0)
+        oracle_controls(abs_tol=1e-9)
+        traj = run_oracle(sc, [20.0, 40.0], initial=rho0)
         for t, st in zip(traj.times, traj.states):
             assert trace_distance(st, rho_stage1(float(t), sc)) < 1e-7
 
-    def test_fourth_order_convergence(self):
+    def test_fourth_order_convergence(self, oracle_controls):
         # fixed-step runs at h and h/2 against the closed form: error ratio >= 8
         # (generous truncation margin keeps the closed-form reference floor
         # far below the integrator error)
@@ -168,8 +155,8 @@ class TestIntegrate:
         ref = rho_stage1(40.0, sc)
 
         def end_error(h):
-            cfg = IntegratorConfig(initial_step=h, abs_tol=np.inf, max_step=h)
-            traj = run_oracle(sc, [40.0], cfg, initial=rho0)
+            oracle_controls(initial_step=h, abs_tol=np.inf, max_step=h)
+            traj = run_oracle(sc, [40.0], initial=rho0)
             return trace_distance(traj.states[0], ref)
 
         e1, e2 = end_error(4.0), end_error(2.0)
@@ -181,17 +168,18 @@ class TestIntegrate:
         traj = run_oracle(sc, [50.0], initial=rho0)
         assert abs(traj.states[0].trace() - 1.0) < 1e-8
 
-    def test_positivity_within_relaxed_tolerance(self):
+    def test_positivity_within_relaxed_tolerance(self, oracle_controls):
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.5, q=0.5, extra=0)
-        traj = run_oracle(sc, [30.0, 90.0], IntegratorConfig(abs_tol=1e-9))
+        oracle_controls(abs_tol=1e-9)
+        traj = run_oracle(sc, [30.0, 90.0])
         assert _min_eigenvalue(traj.states) >= -1e-7
 
-    def test_step_underflow(self):
+    def test_step_underflow(self, oracle_controls):
         sc = stage1_scenario(alpha=0.5, g=0.5, t1=10.0, extra=0)
         rho0 = initial_density(sc)
-        cfg = IntegratorConfig(initial_step=0.1, abs_tol=1e-30, max_step=0.1)
+        oracle_controls(initial_step=0.1, abs_tol=1e-30, max_step=0.1)
         with pytest.raises(StepUnderflow):
-            run_oracle(sc, [10.0], cfg, initial=rho0)
+            run_oracle(sc, [10.0], initial=rho0)
 
     def test_nan_generator_underflows(self, monkeypatch):
         # a NaN local error is rejected and shrinks the step; it used to be accepted
@@ -200,12 +188,13 @@ class TestIntegrate:
         with pytest.raises(StepUnderflow, match="step below"):
             run_oracle(sc, [10.0])
 
-    def test_nan_drift_rejected_at_fixed_steps(self, monkeypatch):
+    def test_nan_drift_rejected_at_fixed_steps(self, monkeypatch, oracle_controls):
         # abs_tol = inf accepts every step, so the trace-drift guard must catch NaN
         sc = stage1_scenario(alpha=0.5, g=0.5, t1=10.0, extra=0)
         monkeypatch.setattr(lindblad._StageGenerator, "apply", nan_apply)
+        oracle_controls(abs_tol=math.inf)
         with pytest.raises(StepUnderflow, match="trace drift"):
-            run_oracle(sc, [10.0], IntegratorConfig(abs_tol=math.inf))
+            run_oracle(sc, [10.0])
 
     def test_grid_validation(self):
         sc = Scenario().variant(n1=10, n2=10, alpha=0.4, beta=0.4)
@@ -296,12 +285,12 @@ class TestTaylorStep:
         for got in (kept, fresh):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_rejected_attempt_costs_four_applies(self, monkeypatch):
+    def test_rejected_attempt_costs_four_applies(self, monkeypatch, oracle_controls):
         counts = count_integrator_hooks(monkeypatch)
         gen = self.lossy_generator(StageKind.CAVITY1)
         rho = random_density(np.random.default_rng(5), 2 * 4 * 5)
-        cfg = IntegratorConfig(initial_step=3.0, abs_tol=1e-10, max_step=3.0)
-        _, _, steps = lindblad._advance(gen, rho, [3.0], cfg)
+        oracle_controls(initial_step=3.0, abs_tol=1e-10, max_step=3.0)
+        _, _, steps = lindblad._advance(gen, rho, [3.0])
         attempts = counts["rk4"] // 3
         assert counts["rk4"] == 3 * attempts and attempts > steps > 0
         # 8 applies for the first attempt from a state, 4 for each retry from it
@@ -319,12 +308,12 @@ class TestStepControl:
         assert steps > 0
         assert counts["rk4"] == 3 * steps
 
-    def test_forced_rejections(self, monkeypatch):
+    def test_forced_rejections(self, monkeypatch, oracle_controls):
         counts = count_integrator_hooks(monkeypatch)
         sc = Scenario().variant(alpha=0.5, beta=0.5, g=0.05, q=0.05, n1=8, n2=8)
         times = [30.0, 60.0, 90.0]
-        cfg = IntegratorConfig(abs_tol=1e-13, initial_step=2.0)
-        oracle = run_oracle(sc, times, cfg)
+        oracle_controls(abs_tol=1e-13, initial_step=2.0)
+        oracle = run_oracle(sc, times)
         steps = accepted_steps(counts)
         assert counts["rk4"] % 3 == 0
         attempts = counts["rk4"] // 3
@@ -336,7 +325,7 @@ class TestStepControl:
         for a, b in zip(oracle.states, dense.states):
             assert trace_distance(a, b) < 1e-6
 
-    def test_zero_duration_stages_build_no_generator(self, monkeypatch):
+    def test_zero_duration_stages_build_no_generator(self, monkeypatch, oracle_controls):
         built = []
 
         class CountedGenerator(lindblad._StageGenerator):
@@ -346,15 +335,17 @@ class TestStepControl:
 
         monkeypatch.setattr(lindblad, "_StageGenerator", CountedGenerator)
         sc = stage1_scenario(alpha=0.5, g=0.5, t1=8.0, extra=0)
-        run_oracle(sc, [0.0, 4.0, 8.0], IntegratorConfig(abs_tol=1e-9))
+        oracle_controls(abs_tol=1e-9)
+        run_oracle(sc, [0.0, 4.0, 8.0])
         assert built == [StageKind.CAVITY1]
 
-    def test_many_samples_one_pass(self):
+    def test_many_samples_one_pass(self, oracle_controls):
         # duplicates, samples 1e-13 apart and ten samples inside cavity 1
         sc = margin_scenario(alpha=0.2, beta=0.2, g=0.3, q=0.2, extra=0)
         edges = [0.0, 5.0, 5.0, 17.0, 17.0 + 1e-13, 45.0, 45.0, 90.0]
         times = np.sort(np.concatenate([edges, np.linspace(1.0, 29.0, 10)]))
-        oracle = run_oracle(sc, times, IntegratorConfig(abs_tol=1e-10))
+        oracle_controls(abs_tol=1e-10)
+        oracle = run_oracle(sc, times)
         dense = run_scenario(sc, times)
         for a, b in zip(oracle.states, dense.states):
             assert trace_distance(a, b) < 1e-6
@@ -363,30 +354,32 @@ class TestStepControl:
 
 
 class TestOracleVsDense:
-    def test_five_stage_certification_spot(self):
+    def test_five_stage_certification_spot(self, oracle_controls):
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.05, q=0.05, extra=2)
         times = [45.0, 90.0]
         dense = run_scenario(sc, times)
-        oracle = run_oracle(sc, times, IntegratorConfig(abs_tol=1e-10))
+        oracle_controls(abs_tol=1e-10)
+        oracle = run_oracle(sc, times)
         for i in range(len(times)):
             assert trace_distance(dense.states[i], oracle.states[i]) < 1e-6
 
-    def test_instant_ramsey_and_boundary_samples(self):
+    def test_instant_ramsey_and_boundary_samples(self, oracle_controls):
         # zero-duration Ramsey entry, and a sample on every stage boundary
         sc = Scenario().variant(
             alpha=0.5, beta=0.5, g=0.3, q=0.2, phi=0.9, n1=8, n2=8,
             stage_durations=(8.0, 3.0, 0.0, 3.0, 8.0),
         )
         times = np.sort(np.concatenate([sc.stage_times(), [2.5, 9.5, 17.0]]))
-        oracle = run_oracle(sc, times, IntegratorConfig(abs_tol=1e-10), initial=initial_density(sc))
+        oracle_controls(abs_tol=1e-10)
+        oracle = run_oracle(sc, times, initial=initial_density(sc))
         dense = run_scenario(sc, times)
         for a, b in zip(oracle.states, dense.states):
             assert trace_distance(a, b) < 1e-6
 
-    def test_oracle_always_rotating(self):
-        cfg = IntegratorConfig(abs_tol=1e-9)
+    def test_oracle_always_rotating(self, oracle_controls):
+        oracle_controls(abs_tol=1e-9)
         sc = margin_scenario(alpha=0.5, beta=0.5, g=0.1, q=0.1, extra=0, frame="lab")
         rot = margin_scenario(alpha=0.5, beta=0.5, g=0.1, q=0.1, extra=0)
-        a = run_oracle(sc, [20.0], cfg).states[0]
-        b = run_oracle(rot, [20.0], cfg).states[0]
+        a = run_oracle(sc, [20.0]).states[0]
+        b = run_oracle(rot, [20.0]).states[0]
         assert trace_distance(a, b) < 1e-12
