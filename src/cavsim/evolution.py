@@ -70,11 +70,13 @@ from .exceptions import ConfigError, NonPhysicalState, UnsupportedInitialState
 from .hilbert import (
     EXCITED,
     GROUND,
+    HERMITICITY_TOL,
     TRACE_TOL,
     DensityMatrix,
     SubsystemLayout,
     coherent_overlap,
     coherent_vector,
+    hermiticity_defect,
     standard_layout,
 )
 
@@ -752,6 +754,22 @@ class BranchState:
         if not (np.isfinite(self.weights).all() and all(map(cmath.isfinite, labels))):
             raise ValueError("weights and labels must be finite")
 
+    def validate(self):
+        """Check Hermiticity and unit trace of the weights, raising :class:`NonPhysicalState`.
+
+        Not run on construction: every :func:`branch_step` makes a BranchState.
+        """
+        # as in DensityMatrix.validate, each guard is written so that NaN fails it
+        herm = hermiticity_defect(self.weights.reshape(4, 4))  # rows (a, p), columns (b, pp)
+        if not herm <= HERMITICITY_TOL:
+            raise NonPhysicalState(f"Hermiticity violation {herm:.3e} of the weights")
+        l1 = self.labels1
+        tr = sum(self.weights[a, p, a, pp] * coherent_overlap(l1[pp], l1[p])
+                 for a, p, pp in itertools.product((0, 1), repeat=3))
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise NonPhysicalState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        return self
+
     @staticmethod
     def from_scenario(scenario: Scenario) -> "BranchState":
         amps = (1.0 / math.sqrt(2.0), np.exp(-0.5j * scenario.phi) / math.sqrt(2.0))
@@ -933,6 +951,7 @@ def branch_run(scenario: Scenario, sample_times, initial: BranchState | None = N
 
     Lab mode dresses the rotating-frame snapshots with the free phases
     accumulated since t0, as :func:`run_scenario` does (see :func:`_closed_form_run`).
+    A given ``initial`` must pass :meth:`BranchState.validate`.
     """
     scenario.validate()
     if initial is not None and not isinstance(initial, BranchState):
@@ -940,5 +959,5 @@ def branch_run(scenario: Scenario, sample_times, initial: BranchState | None = N
             "the branch backend evolves atomic superposition (x) coherent (x) coherent "
             "states only; pass a BranchState or use the dense backend"
         )
-    state = initial if initial is not None else BranchState.from_scenario(scenario)
+    state = initial.validate() if initial is not None else BranchState.from_scenario(scenario)
     return _closed_form_run(scenario, sample_times, state, branch_step, _branch_rotate, _branch_dress)

@@ -40,7 +40,7 @@ from .evolution import (
     _traverse,
 )
 from .exceptions import StepUnderflow
-from .hilbert import HERMITICITY_TOL
+from .hilbert import HERMITICITY_TOL, hermiticity_defect
 
 INITIAL_STEP = 0.1  # us, the first attempt of each stage
 ABS_TOL = 1e-11  # largest accepted max|full step - two half steps|
@@ -161,7 +161,7 @@ def _advance(gen: _StageGenerator, rho: np.ndarray, targets):
                 raise StepUnderflow(f"trace drift {drift:.3e} per step exceeds {DRIFT_LIMIT}")
             max_drift = max(max_drift, drift)
             rho = np.divide(half, tr, out=half)
-            herm = float(np.max(np.abs(rho - rho.conj().T)))
+            herm = hermiticity_defect(rho)
             if not herm <= HERMITICITY_TOL:
                 raise StepUnderflow(f"Hermiticity drift {herm:.3e} during integration")
         states.append(rho)

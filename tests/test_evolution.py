@@ -511,6 +511,37 @@ class TestBranchBackend:
         traj = branch_run(sc, [20.0], initial=BS.from_scenario(sc))
         assert isinstance(traj.states[0], BranchState)
 
+    def test_nonphysical_initial_rejected(self):
+        sc = margin_scenario(alpha=0.5, beta=0.5, g=0.1, q=0.1)
+        good = BS.from_scenario(sc)
+        off_diagonal, diagonal = good.weights.copy(), good.weights.copy()
+        off_diagonal[0, 0, 1, 1] += 0.1  # no longer the conjugate of [1, 1, 0, 0]
+        diagonal[1, 1, 1, 1] += 1e-9j
+        # twice the weights used to run, to purity 3.99 at 90 us
+        for weights, part in (
+            (2.0 * good.weights, "trace"),
+            (off_diagonal, "Hermiticity"),
+            (diagonal, "Hermiticity"),
+        ):
+            with pytest.raises(NonPhysicalState, match=part):
+                branch_run(sc, [90.0], initial=BranchState(weights, good.labels1, good.labels2))
+        # construction rejects NaN, but the weights array stays writable
+        for index in ((0, 0, 0, 0), (0, 0, 1, 1)):
+            bs = BS.from_scenario(sc)
+            bs.weights[index] = math.nan
+            with pytest.raises(NonPhysicalState):
+                branch_run(sc, [90.0], initial=bs)
+
+    def test_state_from_a_run_accepted_as_initial(self):
+        # after the Ramsey zone: distinct field-1 labels and weights off p = a
+        sc = margin_scenario(alpha=1.0, beta=0.5, g=0.3, q=0.6, phi=0.7)
+        ramsey_end = sum(sc.stage_durations[:3])
+        mid = branch_run(sc, [ramsey_end + 5.0]).states[0]
+        assert mid.labels1[0] != mid.labels1[1] and np.any(mid.weights[0, 1])
+        assert mid.validate() is mid
+        rec = branch_run(sc, [0.0, 20.0], initial=mid).records()[-1]
+        assert 0.0 < rec.purity <= 1.0 + 1e-12
+
 
 class TestBranchRecords:
     """Branch records come from the label-basis compression, never from Fock space."""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavsim import (
     DensityMatrix,
@@ -197,6 +199,52 @@ class TestTraceDistance:
         )
         assert hilbert.trace_distance_below(rho, sigma, bound) is below
         assert len(norms) == 1
+
+
+class TestCertifiedHalfTraceNorm:
+    TOL = 1e-8
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 12),
+        exponent=st.floats(-1.5, 1.5),
+    )
+    def test_bounds_the_exact_norm_and_agrees_on_the_verdict(self, seed, dim, exponent):
+        # exact distances from 0.03 to 30 tolerances: both the Frobenius bound
+        # and the eigen-solve fallback decide some of them
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        delta = (a + a.conj().T) * (self.TOL * 10.0**exponent / half_trace_norm(a + a.conj().T))
+        exact = half_trace_norm(delta)
+        certified = hilbert.certified_half_trace_norm(delta, self.TOL)
+        assert certified >= exact
+        assert (certified < self.TOL) == (exact < self.TOL)
+
+    def test_nan_difference_does_not_pass(self):
+        # a NaN above the diagonal, which the lower-triangle eigen-solve does not read
+        delta = np.zeros((3, 3), dtype=complex)
+        delta[0, 2] = math.nan
+        assert math.isnan(hilbert.certified_half_trace_norm(delta, self.TOL))
+        lay = SubsystemLayout((3,), ("x",))
+        rho = dm(lay, np.diag([0.5, 0.25, 0.25]))
+        assert not hilbert.trace_distance_below(rho, dm(lay, rho.data + delta), self.TOL)
+
+
+class TestHermiticityDefect:
+    @pytest.mark.parametrize("dim", [1, 5, 64, 65, 130, 200])
+    def test_equals_the_plain_expression(self, rng, dim):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for x in (a, a + a.conj().T + 1e-13 * a, random_density(rng, dim)):
+            assert hilbert.hermiticity_defect(x) == float(np.max(np.abs(x - x.conj().T)))
+
+    @pytest.mark.parametrize("dim", [2, 65, 130])
+    def test_nan_is_kept(self, rng, dim):
+        for i, j in ((0, dim - 1), (dim - 1, 0), (dim // 2, dim // 2), (dim - 1, dim - 1)):
+            x = random_density(rng, dim)
+            x[i, j] = math.nan
+            assert math.isnan(hilbert.hermiticity_defect(x))
+            assert math.isnan(float(np.max(np.abs(x - x.conj().T))))
 
 
 class TestPhotonDistribution:

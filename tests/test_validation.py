@@ -1,6 +1,7 @@
 """The concurrent eigen-solve map behind every certification check."""
 
 import itertools
+import math
 import threading
 import time
 
@@ -11,6 +12,7 @@ from cavsim import (
     DensityMatrix,
     NonPhysicalState,
     Scenario,
+    analytic,
     branch_run,
     initial_density,
     rho_stage1,
@@ -20,7 +22,7 @@ from cavsim import (
     trace_distance,
     validation,
 )
-from cavsim.hilbert import half_trace_norm, trace_distance_below
+from cavsim.hilbert import certified_half_trace_norm, half_trace_norm, trace_distance_below
 from cavsim.validation import (
     EIGEN_WORKERS,
     SEMIGROUP_STAGES,
@@ -113,9 +115,44 @@ def test_stage1_distances_match_a_plain_loop(monkeypatch):
             expected.append(trace_distance(dense.states[i], branch.dense_state(i)))
         got = list(_eigen_map(half_trace_norm, validation._stage1_differences(sc, times)))
         assert got == expected  # bit for bit
+        differences = validation._stage1_differences(sc, times)
+        bounds = [certified_half_trace_norm(delta, STATE_TOL) for delta in differences]
+        assert all(bound >= exact for bound, exact in zip(bounds, expected))
         ad, bd = validation.stage1_equivalence((alpha,), (g,), times)
-        assert ad.detail.startswith(f"worst trace distance {max(expected[0::2]):.3e}")
-        assert bd.detail.startswith(f"worst trace distance {max(expected[1::2]):.3e}")
+        assert ad.detail.startswith(f"worst trace distance at most {max(bounds[0::2]):.3e}")
+        assert bd.detail.startswith(f"worst trace distance at most {max(bounds[1::2]):.3e}")
+
+
+@pytest.mark.parametrize("defect", ["error", "nan"])
+def test_stage1_check_fails_on_a_seeded_defect(monkeypatch, defect):
+    # a Hermitian error of trace distance 1e-6 in the closed form, which the
+    # Frobenius bound cannot certify, so the exact distance is solved for and
+    # reported; or a NaN above the diagonal, which the lower-triangle eigen-solve
+    # would not read.  Cutoffs 16 keep the grid small and branch-vs-dense passing.
+    monkeypatch.setattr(validation, "_with_margin", lambda sc, margin=0: sc.variant(n1=16, n2=16))
+    closed_form = analytic.rho_stage1
+
+    def defective(t, sc):
+        rho = closed_form(t, sc)
+        data = rho.data.copy()
+        if defect == "nan":
+            data[0, 1] = math.nan
+        else:
+            data[0, 0] += 1e-6
+            data[1, 1] -= 1e-6
+        return DensityMatrix(rho.layout, data)
+
+    monkeypatch.setattr(analytic, "rho_stage1", defective)
+    times = np.array([120.0, 400.0])
+    ad, bd = validation.stage1_equivalence((0.5,), (0.05,), times)
+    assert not ad.passed and bd.passed
+    if defect == "nan":
+        assert ad.detail.startswith("worst trace distance at most nan")
+        return
+    sc = validation._stage1_scenario(0.5, 0.05, t1=400.0)
+    exact = max(trace_distance(defective(t, sc), run_scenario(sc, [t]).states[0]) for t in times)
+    assert exact == pytest.approx(1e-6, rel=1e-6)
+    assert ad.detail == f"worst trace distance at most {exact:.3e} (tol 1.0e-08)"
 
 
 def test_semigroup_gap_matches_a_plain_loop():
