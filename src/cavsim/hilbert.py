@@ -20,6 +20,8 @@ from .exceptions import NonPhysicalState, TruncationTooSmall
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 TAIL_TOL = 1e-10  # largest coherent-state mass a Fock cutoff may drop
+CHOLESKY_SAFETY = 8.0  # factor k of the shift in certified_min_eigenvalue
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 EXCITED = 0
 GROUND = 1
@@ -170,7 +172,13 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def half_trace_norm(delta: np.ndarray) -> float:
-    """Half the trace norm of the Hermitian matrix delta: 0.5 * sum |eigenvalues|."""
+    """Half the trace norm of the Hermitian matrix delta: 0.5 * sum |eigenvalues|.
+
+    NaN if delta holds a non-finite entry anywhere: the eigen-solve reads one
+    triangle only and could miss it.
+    """
+    if not np.isfinite(delta).all():
+        return math.nan
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
 
 
@@ -179,12 +187,44 @@ def certified_half_trace_norm(delta: np.ndarray, bound: float) -> float:
 
     The rigorous estimate ``||X||_1 <= sqrt(dim) * ||X||_F`` is returned when it is
     below ``bound``; otherwise the exact eigenvalue sum is.  A NaN in delta gives
-    NaN (the eigen-solve reads one triangle only and could miss it).
+    NaN.
     """
     estimate = 0.5 * math.sqrt(delta.shape[0]) * float(np.linalg.norm(delta))
     if not estimate >= bound:  # below the bound, or NaN
         return estimate
     return half_trace_norm(delta)
+
+
+def certified_min_eigenvalue(x: np.ndarray, bound: float) -> float:
+    """A lower bound on the smallest eigenvalue of the Hermitian x that is >= ``bound``
+    iff the exact value is.
+
+    If the Cholesky factorization of fl(x + c I) completes, with
+    c = CHOLESKY_SAFETY * (n + 2) * u * sum |x_ii|, then lambda_min(x) > -2c, and
+    -2c is returned when it is at least ``bound``; otherwise (a failed
+    factorization, or -2c below ``bound``) the exact eigenvalue is.  A completed
+    factorization of A has LL* = A + E with |E| <= g |L||L*| (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, Thm 10.3; Rump, BIT 46, 433 (2006)),
+    so lambda_min(A) >= -g (1 + g) sum |a_ii|.  In complex arithmetic a product
+    errs by at most 2 sqrt(2) u and a sum by u (Higham, Lemma 3.5), so
+    g <= (n + 2) u to first order; the factor 8 also covers the rounding of the
+    shift, u (|x_ii| + c), and the n c that the shift adds to the trace.  NaN if
+    x holds a non-finite entry (the eigen-solve and the factorization read one
+    triangle only, and OpenBLAS completes a factorization through a NaN).
+    """
+    if not np.isfinite(x).all():
+        return math.nan
+    n = x.shape[0]
+    shift = CHOLESKY_SAFETY * (n + 2) * UNIT_ROUNDOFF * float(np.sum(np.abs(x.diagonal())))
+    if -2.0 * shift >= bound:
+        shifted = x.copy()
+        shifted.flat[:: n + 1] += shift
+        try:
+            np.linalg.cholesky(shifted)
+            return -2.0 * shift
+        except np.linalg.LinAlgError:
+            pass  # x + c I is not numerically positive definite: solve exactly
+    return float(np.linalg.eigvalsh(x)[0])
 
 
 def trace_distance_below(rho: DensityMatrix, sigma: DensityMatrix, bound: float) -> bool:

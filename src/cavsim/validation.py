@@ -6,8 +6,12 @@ certification over the whole experimental grid, certifies the dense backend
 against the brute-force integrator and adds :func:`invariant_checks`.  Each
 invariant is measured by one private helper here; the checks choose the grids.
 Every exact eigen-solve runs through :func:`_eigen_map`, ``EIGEN_WORKERS`` at a
-time on threads; the comparisons against ``STATE_TOL`` need one only where the
-rigorous bound ``sqrt(D) ||X||_F / 2`` is inconclusive.
+time on threads, and only where a rigorous bound is inconclusive: the
+comparisons against ``STATE_TOL`` first try ``sqrt(D) ||X||_F / 2``, and the
+positivity checks first try a shifted Cholesky factorization
+(:func:`~cavsim.hilbert.certified_min_eigenvalue`), so a healthy snapshot needs
+no eigen-solve.  Every reduction over values keeps a NaN, so a NaN fails its
+check.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from .evolution import (
     run_scenario,
     stage_step,
 )
-from .hilbert import certified_half_trace_norm, trace_distance, trace_distance_below
+from .hilbert import (
+    certified_half_trace_norm,
+    certified_min_eigenvalue,
+    trace_distance,
+    trace_distance_below,
+)
 
 CERT_GRID = (0.0, 0.05, 0.5, 1.0)
 CERT_AMPLITUDES = (0.5, 1.0, 2.0)
@@ -61,13 +70,17 @@ class CheckResult:
     detail: str
 
 
+_LOWEST_EIGENVALUE = "minimum eigenvalue at least"  # quantity of the positivity checks
+
+
 def _bounded(name: str, quantity: str, value: float, passed: bool, tol: float) -> CheckResult:
     return CheckResult(name, passed, f"{quantity} {value:.3e} (tol {tol:.1e})")
 
 
 def _record_gap(recs_a, recs_b, fields) -> float:
-    """Largest difference of the given record fields between two record lists."""
-    return max(abs(getattr(a, f) - getattr(b, f)) for a, b in zip(recs_a, recs_b) for f in fields)
+    """Largest difference of the given record fields between two record lists (NaN kept)."""
+    gaps = [abs(getattr(a, f) - getattr(b, f)) for a, b in zip(recs_a, recs_b) for f in fields]
+    return float(np.max(gaps))
 
 
 def _with_margin(sc: Scenario, margin: int = CERT_MARGIN) -> Scenario:
@@ -100,12 +113,13 @@ def _trace_distance_of(pair) -> float:
 
 
 def _lowest_eigenvalue(st) -> float:
-    return float(np.linalg.eigvalsh(st.validate().data)[0])
+    return certified_min_eigenvalue(st.validate().data, MIN_EIGENVALUE)
 
 
 def _min_eigenvalue(states) -> float:
-    """Smallest eigenvalue of the states (0 if none is negative); each is validated first."""
-    return min([0.0, *_eigen_map(_lowest_eigenvalue, states)])
+    """A lower bound on the smallest eigenvalue of the states, at most 0, that is at
+    least MIN_EIGENVALUE iff the exact value is; each state is validated first."""
+    return float(np.min([0.0, *_eigen_map(_lowest_eigenvalue, states)]))
 
 
 def _frame_shift(sc: Scenario, times) -> float:
@@ -120,13 +134,13 @@ def _semigroup_gap(sc: Scenario, stages=SEMIGROUP_STAGES) -> float:
     rho = initial_density(sc)
     one = (stage_step(rho, stage, 9.0, sc) for stage in stages)
     two = (stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc) for stage in stages)
-    return max([0.0, *_eigen_map(_trace_distance_of, zip(one, two))])
+    return float(np.max([0.0, *_eigen_map(_trace_distance_of, zip(one, two))]))
 
 
 def _ckw_residual(states) -> float:
     """Smallest CKW residual tau_A - C_AF1^2 - C_AF2^2 (pure states only); -inf if one is mixed."""
     residuals = list(map(monogamy_residual, states))
-    return -math.inf if None in residuals else min(residuals)
+    return -math.inf if None in residuals else float(np.min(residuals))
 
 
 def _stage1_scenario(alpha, g, t1: float = 1000.0) -> Scenario:
@@ -192,7 +206,7 @@ def snapshot_invariants() -> CheckResult:
     sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
     worst = _min_eigenvalue(run_scenario(sc, np.linspace(0.0, sc.total_time(), 16)).snapshots())
     passed = worst >= MIN_EIGENVALUE
-    return _bounded("snapshot invariants", "minimum eigenvalue", worst, passed, MIN_EIGENVALUE)
+    return _bounded("snapshot invariants", _LOWEST_EIGENVALUE, worst, passed, MIN_EIGENVALUE)
 
 
 def quick_checks() -> list[CheckResult]:
@@ -234,7 +248,7 @@ def branch_certification() -> CheckResult:
                         dense_records.append(_dense_record(t, st))
                         del st  # not kept while the walk makes the next snapshot
                     gap = _record_gap(dense_records, branch.records(), CONCURRENCES + ("purity",))
-                    worst_record = max(worst_record, gap)
+                    worst_record = float(np.max([worst_record, gap]))
     elapsed = time.perf_counter() - t0
     passed = not first_failure and worst_record < STATE_TOL
     runs = len(CERT_AMPLITUDES) ** 2 * len(CERT_GRID) ** 2
@@ -251,7 +265,8 @@ def oracle_certification() -> CheckResult:
     t0 = time.perf_counter()
     dense = run_scenario(sc, times)
     oracle = lindblad.run_oracle(sc, times)
-    worst = max(_eigen_map(_trace_distance_of, zip(dense.snapshots(), oracle.states)))
+    dists = _eigen_map(_trace_distance_of, zip(dense.snapshots(), oracle.states))
+    worst = float(np.max(list(dists)))
     elapsed = time.perf_counter() - t0
     detail = f"worst trace distance {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s"
     return CheckResult("dense-vs-oracle (5 stages)", worst < ORACLE_TOL, detail)
@@ -281,9 +296,9 @@ def invariant_checks() -> list[CheckResult]:
     shift, gap = _frame_shift(sc, times), _semigroup_gap(sc)
     pure = [_with_margin(Scenario().variant(alpha=a, beta=a), INVARIANT_MARGIN) for a in (0.5, 1.0)]
     runs = (run_scenario(p, np.linspace(0.0, p.total_time(), 8)) for p in pure)
-    ckw = min(_ckw_residual(run.snapshots()) for run in runs)
+    ckw = float(np.min([_ckw_residual(run.snapshots()) for run in runs]))
     checks = (  # name, quantity, value, passed, tolerance
-        ("physicality", "minimum eigenvalue", lam_min, lam_min >= MIN_EIGENVALUE, MIN_EIGENVALUE),
+        ("physicality", _LOWEST_EIGENVALUE, lam_min, lam_min >= MIN_EIGENVALUE, MIN_EIGENVALUE),
         ("frame invariance", "worst concurrence shift", shift, shift < FRAME_TOL, FRAME_TOL),
         ("semigroup property", "worst trace distance", gap, gap < SEMIGROUP_TOL, SEMIGROUP_TOL),
         ("CKW monogamy", "smallest residual", ckw, ckw >= MIN_CKW_RESIDUAL, MIN_CKW_RESIDUAL),

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from cavsim import hilbert
 from cavsim.hilbert import coherent_vector, half_trace_norm
 from cavsim.validation import MIN_EIGENVALUE, _min_eigenvalue
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 
 
 def dm(layout, mat):
@@ -229,6 +230,75 @@ class TestCertifiedHalfTraceNorm:
         lay = SubsystemLayout((3,), ("x",))
         rho = dm(lay, np.diag([0.5, 0.25, 0.25]))
         assert not hilbert.trace_distance_below(rho, dm(lay, rho.data + delta), self.TOL)
+
+
+class TestHalfTraceNorm:
+    def test_nan_above_the_diagonal_gives_nan(self):
+        # the eigen-solve reads the lower triangle only and sees the identity
+        x = np.eye(3, dtype=complex)
+        x[0, 1] = math.nan
+        assert np.linalg.eigvalsh(x).tolist() == [1.0, 1.0, 1.0]
+        assert math.isnan(half_trace_norm(x))
+
+
+@functools.lru_cache(maxsize=None)
+def planting_unitary(dim):
+    return random_unitary(np.random.default_rng(dim), dim)
+
+
+def planted_state(dim, lowest, rank):
+    """U diag(spectrum) U^dag of unit trace whose smallest eigenvalue is ``lowest``;
+    ``rank`` other eigenvalues are positive and the rest are 0 (snapshots of a
+    nearly pure run have many eigenvalues at roundoff)."""
+    spectrum = np.zeros(dim)
+    spectrum[1 : rank + 1] = np.random.default_rng(rank).uniform(0.1, 1.0, rank)
+    spectrum *= (1.0 - lowest) / spectrum.sum()
+    spectrum[0] = lowest
+    u = planting_unitary(dim)
+    x = (u * spectrum) @ u.conj().T
+    return 0.5 * (x + x.conj().T)
+
+
+class TestCertifiedMinEigenvalue:
+    @staticmethod
+    def shift(x):
+        """The documented shift c = k (n + 2) u sum |x_ii| of the certificate."""
+        n = x.shape[0]
+        diagonal = float(np.sum(np.abs(x.diagonal())))
+        return hilbert.CHOLESKY_SAFETY * (n + 2) * hilbert.UNIT_ROUNDOFF * diagonal
+
+    @pytest.mark.parametrize("dim", [8, 128, 512, 882])
+    @pytest.mark.parametrize("rank", ["full", 4])
+    def test_never_above_the_exact_value_and_agrees_on_the_verdict(self, dim, rank):
+        # planted from far below MIN_EIGENVALUE (-1e-9), through just below and
+        # just above it, down to roundoff and an exact zero
+        for lowest in (-1e-6, -1.1e-9, -0.9e-9, -1e-12, -1e-15, 0.0):
+            x = planted_state(dim, lowest, dim - 1 if rank == "full" else rank)
+            exact = float(np.linalg.eigvalsh(x)[0])
+            assert exact == pytest.approx(lowest, abs=1e-14)
+            certified = hilbert.certified_min_eigenvalue(x, MIN_EIGENVALUE)
+            assert certified <= exact
+            assert (certified >= MIN_EIGENVALUE) == (exact >= MIN_EIGENVALUE)
+
+    def test_a_healthy_state_is_certified_without_an_eigen_solve(self, rng, monkeypatch):
+        x = random_density(rng, 64)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert hilbert.certified_min_eigenvalue(x, MIN_EIGENVALUE) == -2.0 * self.shift(x)
+
+    def test_a_bound_above_the_certificate_takes_the_exact_path(self, rng, monkeypatch):
+        x = random_density(rng, 64)
+        exact = float(np.linalg.eigvalsh(x)[0])
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        assert hilbert.certified_min_eigenvalue(x, -self.shift(x)) == exact
+
+    @pytest.mark.parametrize("where", [(3, 3), (0, 5), (5, 0)])
+    def test_non_finite_entry_gives_nan(self, rng, where):
+        # OpenBLAS completes a factorization through a NaN, and the eigen-solve
+        # may drop a NaN on the diagonal or raise on one below it
+        for bad in (math.nan, math.inf):
+            x = random_density(rng, 8)
+            x[where] = bad
+            assert math.isnan(hilbert.certified_min_eigenvalue(x, MIN_EIGENVALUE))
 
 
 class TestHermiticityDefect:

@@ -4,6 +4,7 @@ import itertools
 import math
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from cavsim import (
     trace_distance,
     validation,
 )
+from cavsim import hilbert
 from cavsim.hilbert import certified_half_trace_norm, half_trace_norm, trace_distance_below
 from cavsim.validation import (
     EIGEN_WORKERS,
+    MIN_CKW_RESIDUAL,
+    MIN_EIGENVALUE,
     SEMIGROUP_STAGES,
     STATE_TOL,
     _eigen_map,
@@ -97,7 +101,11 @@ class TestEigenMap:
         layout = standard_layout(1, 1)
         good = DensityMatrix(layout, random_density(rng, layout.dim))
         bad = DensityMatrix(layout, good.data + np.triu(np.full((8, 8), 1e-3), 1))
-        assert _min_eigenvalue([good, good]) == 0.0
+        # the Cholesky certificate -2c, c = k (n + 2) u sum |rho_ii|, of a healthy state
+        diagonal = float(np.sum(np.abs(good.data.diagonal())))
+        certificate = -2.0 * hilbert.CHOLESKY_SAFETY * (8 + 2) * hilbert.UNIT_ROUNDOFF * diagonal
+        assert _min_eigenvalue([good, good]) == certificate
+        assert MIN_EIGENVALUE < certificate <= 0.0
         with pytest.raises(NonPhysicalState, match="Hermiticity"):
             _min_eigenvalue([good, good, bad, good])
 
@@ -199,3 +207,120 @@ def test_branch_certification_matches_listed_trajectories(monkeypatch):
     runs, rest = validation.branch_certification().detail.split(", ", 1)
     assert runs.startswith("4 runs in ")
     assert rest == expected
+
+
+def nan_on_call(fn, call):
+    """fn, except that its ``call``-th call (from 1, counted across threads) gives NaN."""
+    calls = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        return math.nan if next(calls) == call else fn(*args, **kwargs)
+
+    return patched
+
+
+class TestNanFailsTheCheck:
+    """Each reduction over a check's values keeps a NaN in a non-first position
+    (Python's max and min would drop it: max([0.0, nan]) is 0.0)."""
+
+    def test_min_eigenvalue(self, monkeypatch):
+        certify = nan_on_call(validation.certified_min_eigenvalue, 5)
+        monkeypatch.setattr(validation, "certified_min_eigenvalue", certify)
+        result = validation.snapshot_invariants()
+        assert not result.passed
+        assert result.detail.startswith("minimum eigenvalue at least nan")
+
+    def test_semigroup_gap(self, monkeypatch):
+        distance = nan_on_call(validation._trace_distance_of, 3)
+        monkeypatch.setattr(validation, "_trace_distance_of", distance)
+        result = validation.semigroup_property()
+        assert not result.passed
+        assert result.detail == "worst trace distance nan"
+
+    def test_record_gap(self, monkeypatch):
+        # the lab-frame run's third record carries a NaN concurrence
+        def fake_run(sc, times):
+            records = [SimpleNamespace(c_af1=0.1, c_af2=0.2, c_f1f2=0.0) for _ in times]
+            if sc.frame == "lab":
+                records[2].c_af2 = math.nan
+            return SimpleNamespace(records=lambda: records)
+
+        monkeypatch.setattr(validation, "run_scenario", fake_run)
+        result = validation.frame_invariance()
+        assert not result.passed
+        assert result.detail == "worst concurrence shift nan"
+
+    def test_branch_certification_worst_record(self, monkeypatch):
+        monkeypatch.setattr(validation, "CERT_AMPLITUDES", (0.5,))
+        monkeypatch.setattr(validation, "CERT_GRID", (0.0, 0.5))
+        # cutoffs 12, so that every state comparison passes
+        monkeypatch.setattr(
+            validation, "_with_margin", lambda sc, margin=0: sc.variant(n1=12, n2=12)
+        )
+        monkeypatch.setattr(validation, "_record_gap", nan_on_call(validation._record_gap, 2))
+        result = validation.branch_certification()
+        assert not result.passed
+        assert result.detail.endswith(", worst record gap nan")
+
+    def test_oracle_certification(self, monkeypatch):
+        # three checkpoints stand in for the states; the second pair's distance is NaN
+        dense = SimpleNamespace(snapshots=lambda: iter([1, 2, 3]))
+        monkeypatch.setattr(validation, "run_scenario", lambda sc, times: dense)
+        monkeypatch.setattr(
+            validation.lindblad, "run_oracle", lambda sc, times: SimpleNamespace(states=[1, 2, 3])
+        )
+        monkeypatch.setattr(
+            validation, "_trace_distance_of", lambda pair: math.nan if pair[0] == 2 else 0.0
+        )
+        result = validation.oracle_certification()
+        assert not result.passed
+        assert result.detail.startswith("worst trace distance nan")
+
+    def test_ckw_residual(self, monkeypatch):
+        residuals = iter([0.0, math.nan, 0.0])
+        monkeypatch.setattr(validation, "monogamy_residual", lambda st: next(residuals))
+        ckw = validation._ckw_residual(["a", "b", "c"])
+        assert math.isnan(ckw)
+        assert not ckw >= MIN_CKW_RESIDUAL  # the CKW check's verdict
+
+
+def plant_negative_eigenvalue(st, lowest):
+    """st with ``lowest`` added to the eigenvalue of its lowest eigenvector and taken
+    from that of its top one, so that the trace is unchanged."""
+    _, vectors = np.linalg.eigh(st.data)
+    low, top = vectors[:, 0], vectors[:, -1]
+    data = st.data + lowest * (np.outer(low, low.conj()) - np.outer(top, top.conj()))
+    return DensityMatrix(st.layout, data)
+
+
+class TestSnapshotPositivity:
+    def test_a_planted_negative_eigenvalue_fails_with_its_exact_value(self, monkeypatch):
+        planted = []
+        real_run = validation.run_scenario
+
+        def run_with_a_defect(sc, times):
+            def snapshots():
+                for i, st in enumerate(real_run(sc, times).snapshots()):
+                    if i == 6:
+                        st = plant_negative_eigenvalue(st, -1e-8)
+                        planted.append(st)
+                    yield st
+
+            return SimpleNamespace(snapshots=snapshots)
+
+        monkeypatch.setattr(validation, "run_scenario", run_with_a_defect)
+        result = validation.snapshot_invariants()
+        (st,) = planted
+        exact = float(np.linalg.eigvalsh(st.data)[0])
+        assert exact == pytest.approx(-1e-8, rel=1e-6)
+        assert not result.passed
+        assert result.detail == f"minimum eigenvalue at least {exact:.3e} (tol -1.0e-09)"
+
+    def test_healthy_snapshots_need_no_eigen_solve(self, monkeypatch):
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: solves.append(x) or eigvalsh(x))
+        result = validation.snapshot_invariants()
+        assert result.passed and isinstance(result.passed, bool)
+        assert result.detail.startswith("minimum eigenvalue at least -")
+        assert solves == []
