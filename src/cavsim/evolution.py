@@ -340,26 +340,24 @@ _renew_halves_pool()
 os.register_at_fork(after_in_child=_renew_halves_pool)
 
 
-def _in_halves(size: int, fn, first, second) -> None:
-    """fn(*first) on the calling thread while the worker runs fn(*second).
+def _in_halves(size: int, fn, first, second) -> tuple:
+    """fn(*first) on the calling thread while the worker runs fn(*second); both results.
 
-    Returns when both are done: the worker's half is waited for also when the
-    caller's half raises.  The two halves write disjoint parts of their
-    outputs and make the calls that ``fn(*first); fn(*second)`` makes, so the
-    result is exactly that of the serial pair, which is what runs for a pass
-    of fewer than ``HALVES_MIN_SIZE`` entries (``size``), where the hand-over
-    would cost more than the half it moves.
+    Returns ``(fn(*first), fn(*second))`` when both are done: the worker's half
+    is waited for also when the caller's half raises.  The two halves write
+    disjoint parts of their outputs, if any, and make the calls that the serial
+    pair makes, so the results are exactly those of the serial pair, which is
+    what runs for a pass of fewer than ``HALVES_MIN_SIZE`` entries (``size``),
+    where the hand-over would cost more than the half it moves.
     """
     if size < HALVES_MIN_SIZE:
-        fn(*first)
-        fn(*second)
-        return
+        return fn(*first), fn(*second)
     future = _HALVES.submit(fn, *second)
     try:
-        fn(*first)
+        result = fn(*first)
     finally:
         futures.wait((future,))
-    future.result()
+    return result, future.result()
 
 
 def _split_rows(fn, *arrays) -> None:

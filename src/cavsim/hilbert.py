@@ -227,12 +227,13 @@ def certified_min_eigenvalue(x: np.ndarray, bound: float) -> float:
     return float(np.linalg.eigvalsh(x)[0])
 
 
-def trace_distance_below(rho: DensityMatrix, sigma: DensityMatrix, bound: float) -> bool:
-    """Certify trace_distance(rho, sigma) < bound, eigen-solving only when the
-    Frobenius bound is inconclusive (:func:`certified_half_trace_norm`)."""
+def certified_trace_distance(rho: DensityMatrix, sigma: DensityMatrix, bound: float) -> float:
+    """An upper bound on trace_distance(rho, sigma) that is below ``bound`` iff the exact
+    value is, eigen-solving only when the Frobenius bound is inconclusive
+    (:func:`certified_half_trace_norm`)."""
     if rho.layout.dims != sigma.layout.dims:
         raise ValueError("states live on different layouts")
-    return certified_half_trace_norm(rho.data - sigma.data, bound) < bound
+    return certified_half_trace_norm(rho.data - sigma.data, bound)
 
 
 def photon_number_distribution(rho: DensityMatrix, field) -> np.ndarray:

@@ -5,23 +5,22 @@ the first cavity in a few seconds.  ``full`` re-runs the branch-vs-dense
 certification over the whole experimental grid, certifies the dense backend
 against the brute-force integrator and adds :func:`invariant_checks`.  Each
 invariant is measured by one private helper here; the checks choose the grids.
-Every exact eigen-solve runs through :func:`_eigen_map`, ``EIGEN_WORKERS`` at a
-time on threads, and only where a rigorous bound is inconclusive: the
-comparisons against ``STATE_TOL`` first try ``sqrt(D) ||X||_F / 2``, and the
-positivity checks first try a shifted Cholesky factorization
-(:func:`~cavsim.hilbert.certified_min_eigenvalue`), so a healthy snapshot needs
-no eigen-solve.  Every reduction over values keeps a NaN, so a NaN fails its
-check.
+An exact eigen-solve runs only where a rigorous bound is inconclusive: every
+trace distance first tries ``sqrt(D) ||X||_F / 2``
+(:func:`~cavsim.hilbert.certified_half_trace_norm`), and the positivity checks
+first try a shifted Cholesky factorization
+(:func:`~cavsim.hilbert.certified_min_eigenvalue`), so a healthy run needs no
+eigen-solve.  The distances are certified in plain loops; the positivity
+certificates run two at a time, one on the worker thread of
+:func:`~cavsim.evolution._in_halves`.  Every reduction over values keeps a NaN,
+so a NaN fails its check.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .evolution import (
     Scenario,
     StageKind,
     _dense_record,
+    _in_halves,
     branch_run,
     default_truncation,
     initial_density,
@@ -41,8 +41,8 @@ from .evolution import (
 from .hilbert import (
     certified_half_trace_norm,
     certified_min_eigenvalue,
-    trace_distance,
-    trace_distance_below,
+    certified_trace_distance,
+    trace_distance,  # not called here: bench/spans.py wraps validation.trace_distance
 )
 
 CERT_GRID = (0.0, 0.05, 0.5, 1.0)
@@ -60,7 +60,6 @@ SEMIGROUP_TOL = 1e-9  # trace distance of one step and two split steps
 MIN_CKW_RESIDUAL = -1e-6  # most negative CKW monogamy residual accepted as roundoff
 INVARIANT_MARGIN = 5  # Fock cutoffs above the default rule for the invariant suites
 SEMIGROUP_STAGES = (StageKind.CAVITY1, StageKind.FREE1, StageKind.RAMSEY, StageKind.CAVITY2)
-EIGEN_WORKERS = 2  # eigen-solves in flight at once (LAPACK releases the GIL)
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,7 @@ class CheckResult:
 
 
 _LOWEST_EIGENVALUE = "minimum eigenvalue at least"  # quantity of the positivity checks
+_WORST_DISTANCE = "worst trace distance at most"  # quantity of the distance checks
 
 
 def _bounded(name: str, quantity: str, value: float, passed: bool, tol: float) -> CheckResult:
@@ -89,37 +89,24 @@ def _with_margin(sc: Scenario, margin: int = CERT_MARGIN) -> Scenario:
     return sc.variant(n1=n1, n2=n2)
 
 
-def _eigen_map(fn, items):
-    """Yield fn(item) for each item of the (lazy) iterable, in input order.
-
-    The calls run EIGEN_WORKERS at a time on threads.  Each eigen-solve runs on
-    one BLAS thread whichever thread calls it, so the values are those of a
-    plain loop.  An item is pulled only when the result EIGEN_WORKERS places
-    before it is taken, so a generator of D x D matrices has at most
-    EIGEN_WORKERS of them waiting.  An exception from fn is raised when its
-    result is reached.
-    """
-    items = iter(items)
-    with ThreadPoolExecutor(EIGEN_WORKERS) as pool:
-        pending = deque(pool.submit(fn, item) for item in itertools.islice(items, EIGEN_WORKERS))
-        while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
-            yield result
-
-
-def _trace_distance_of(pair) -> float:
-    return trace_distance(*pair)
-
-
 def _lowest_eigenvalue(st) -> float:
     return certified_min_eigenvalue(st.validate().data, MIN_EIGENVALUE)
 
 
 def _min_eigenvalue(states) -> float:
     """A lower bound on the smallest eigenvalue of the states, at most 0, that is at
-    least MIN_EIGENVALUE iff the exact value is; each state is validated first."""
-    return float(np.min([0.0, *_eigen_map(_lowest_eigenvalue, states)]))
+    least MIN_EIGENVALUE iff the exact value is; each state is validated first.
+
+    The states are certified two at a time (:func:`~cavsim.evolution._in_halves`),
+    and no more than two of them are held at once.
+    """
+    worst, states = 0.0, iter(states)
+    for first in states:
+        second = next(states, first)  # an odd last state is certified on both threads
+        pair = _in_halves(first.data.size, _lowest_eigenvalue, (first,), (second,))
+        del first, second  # not held while the next pair is made
+        worst = float(np.min([worst, *pair]))
+    return worst
 
 
 def _frame_shift(sc: Scenario, times) -> float:
@@ -130,11 +117,14 @@ def _frame_shift(sc: Scenario, times) -> float:
 
 
 def _semigroup_gap(sc: Scenario, stages=SEMIGROUP_STAGES) -> float:
-    """Largest trace distance of stage_step(9 us) and stage_step(5 us) after stage_step(4 us)."""
-    rho = initial_density(sc)
-    one = (stage_step(rho, stage, 9.0, sc) for stage in stages)
-    two = (stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc) for stage in stages)
-    return float(np.max([0.0, *_eigen_map(_trace_distance_of, zip(one, two))]))
+    """An upper bound on the largest trace distance of stage_step(9 us) and
+    stage_step(5 us) after stage_step(4 us), below SEMIGROUP_TOL iff the exact value is."""
+    rho, worst = initial_density(sc), 0.0
+    for stage in stages:
+        one = stage_step(rho, stage, 9.0, sc)
+        two = stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc)
+        worst = float(np.max([worst, certified_trace_distance(one, two, SEMIGROUP_TOL)]))
+    return worst
 
 
 def _ckw_residual(states) -> float:
@@ -178,13 +168,12 @@ def stage1_equivalence(alphas, gs, times) -> list[CheckResult]:
     for alpha in alphas:
         for g in gs:
             sc = _stage1_scenario(alpha, g, t1=float(max(times)))
-            dists = list(_eigen_map(certify, _stage1_differences(sc, times)))
+            dists = list(map(certify, _stage1_differences(sc, times)))
             # np.max, unlike max, keeps a NaN
             worst_ad = float(np.max([worst_ad, *dists[0::2]]))
             worst_bd = float(np.max([worst_bd, *dists[1::2]]))
-    quantity = "worst trace distance at most"
     return [
-        _bounded(f"{name} (stage 1)", quantity, worst, worst < STATE_TOL, STATE_TOL)
+        _bounded(f"{name} (stage 1)", _WORST_DISTANCE, worst, worst < STATE_TOL, STATE_TOL)
         for name, worst in (("analytic-vs-dense", worst_ad), ("branch-vs-dense", worst_bd))
     ]
 
@@ -225,6 +214,7 @@ def branch_certification() -> CheckResult:
     dense trajectory is read once: every snapshot is compared with its branch
     state, gives its record and is dropped.
     """
+    certify = functools.partial(certified_trace_distance, bound=STATE_TOL)
     first_failure = ""
     worst_record = 0.0
     t0 = time.perf_counter()
@@ -241,9 +231,7 @@ def branch_certification() -> CheckResult:
                     dense_records = []
                     for i, t in enumerate(times):
                         st = next(snapshots)
-                        if not first_failure and not trace_distance_below(
-                            st, branch.dense_state(i), STATE_TOL
-                        ):
+                        if not (first_failure or certify(st, branch.dense_state(i)) < STATE_TOL):
                             first_failure = f"alpha={alpha} beta={beta} g={g} q={q} t={t:.1f}"
                         dense_records.append(_dense_record(t, st))
                         del st  # not kept while the walk makes the next snapshot
@@ -265,10 +253,10 @@ def oracle_certification() -> CheckResult:
     t0 = time.perf_counter()
     dense = run_scenario(sc, times)
     oracle = lindblad.run_oracle(sc, times)
-    dists = _eigen_map(_trace_distance_of, zip(dense.snapshots(), oracle.states))
-    worst = float(np.max(list(dists)))
+    certify = functools.partial(certified_trace_distance, bound=ORACLE_TOL)
+    worst = float(np.max(list(map(certify, dense.snapshots(), oracle.states))))
     elapsed = time.perf_counter() - t0
-    detail = f"worst trace distance {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s"
+    detail = f"{_WORST_DISTANCE} {worst:.3e} (tol {ORACLE_TOL:.1e}) in {elapsed:.1f}s"
     return CheckResult("dense-vs-oracle (5 stages)", worst < ORACLE_TOL, detail)
 
 
@@ -283,7 +271,7 @@ def frame_invariance() -> CheckResult:
 def semigroup_property() -> CheckResult:
     """stage_step(t1+t2) equals stage_step(t2) after stage_step(t1), per stage."""
     worst = _semigroup_gap(Scenario().variant(g=0.5, q=0.3, alpha=1.0, beta=0.8))
-    detail = f"worst trace distance {worst:.3e}"
+    detail = f"{_WORST_DISTANCE} {worst:.3e}"
     return CheckResult("semigroup property", worst < SEMIGROUP_TOL, detail)
 
 
@@ -300,7 +288,7 @@ def invariant_checks() -> list[CheckResult]:
     checks = (  # name, quantity, value, passed, tolerance
         ("physicality", _LOWEST_EIGENVALUE, lam_min, lam_min >= MIN_EIGENVALUE, MIN_EIGENVALUE),
         ("frame invariance", "worst concurrence shift", shift, shift < FRAME_TOL, FRAME_TOL),
-        ("semigroup property", "worst trace distance", gap, gap < SEMIGROUP_TOL, SEMIGROUP_TOL),
+        ("semigroup property", _WORST_DISTANCE, gap, gap < SEMIGROUP_TOL, SEMIGROUP_TOL),
         ("CKW monogamy", "smallest residual", ckw, ckw >= MIN_CKW_RESIDUAL, MIN_CKW_RESIDUAL),
     )
     return [_bounded(f"{name} (margin cutoffs)", *row) for name, *row in checks]

@@ -38,6 +38,10 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def run_halves_inline(size, fn, first, second):  # evolution._in_halves on one thread
+    return fn(*first), fn(*second)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -24,7 +24,7 @@ from cavsim import (
     run_scenario,
 )
 from cavsim import validation
-from cavsim.hilbert import trace_distance_below
+from cavsim.hilbert import certified_trace_distance
 from cavsim.validation import CERT_AMPLITUDES, CERT_GRID
 ZERO_FLOOR = 1e-12  # numerical floor below which a concurrence is an exact zero
 
@@ -54,7 +54,8 @@ def test_criterion_1_analytic_dense_equivalence():
             sc = single_cavity(alpha, g, n1=35)
             dense = run_scenario(sc, times)
             for i, t in enumerate(times):
-                if not trace_distance_below(rho_stage1(float(t), sc), dense.states[i], 1e-8):
+                closed_form = rho_stage1(float(t), sc)
+                if not certified_trace_distance(closed_form, dense.states[i], 1e-8) < 1e-8:
                     ok = False
     elapsed = time.perf_counter() - t0
     status = "PASS" if ok and elapsed < 120.0 else "FAIL"

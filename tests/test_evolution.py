@@ -53,7 +53,7 @@ from cavsim.hilbert import coherent_vector
 from cavsim.validation import CONCURRENCES, FRAME_TOL, MIN_EIGENVALUE, SEMIGROUP_TOL
 from cavsim.validation import _frame_shift, _min_eigenvalue, _record_gap, _semigroup_gap
 
-from conftest import margin_scenario, random_density, stage1_scenario
+from conftest import margin_scenario, random_density, run_halves_inline, stage1_scenario
 
 RECORD_FIELDS = CONCURRENCES + ("purity",)
 
@@ -294,11 +294,6 @@ def test_map_trace_guard_rejects_nan():
         dissipative_map(nan, StageKind.CAVITY1, 5.0, sc)
 
 
-def run_halves_inline(size, fn, first, second):
-    fn(*first)
-    fn(*second)
-
-
 def dense_last_purity(sc: Scenario) -> float:
     return run_scenario(sc, [0.0, 30.0, sc.total_time()]).records()[-1].purity
 
@@ -321,11 +316,11 @@ class TestThreadedHalves:
             assert np.array_equal(stage_step(rho, stage, 7.0, sc).data, want), stage
 
     def test_small_passes_stay_on_the_calling_thread(self):
-        threads = []
-        half = lambda: threads.append(threading.get_ident())  # noqa: E731
-        evolution._in_halves(evolution.HALVES_MIN_SIZE - 1, half, (), ())
-        evolution._in_halves(evolution.HALVES_MIN_SIZE, half, (), ())
-        assert threads[:3] == [threading.get_ident()] * 3 and threads[3] != threads[0]
+        # both paths return (fn(*first), fn(*second))
+        here, size = threading.get_ident(), evolution.HALVES_MIN_SIZE
+        assert evolution._in_halves(size - 1, threading.get_ident, (), ()) == (here, here)
+        first, second = evolution._in_halves(size, threading.get_ident, (), ())
+        assert first == here != second
 
     @pytest.mark.parametrize("n1, n2", [(4, 6), (15, 17), (26, 26)])
     def test_rotation_halves_equal_the_unsplit_products(self, rng, monkeypatch, n1, n2):

@@ -198,7 +198,7 @@ class TestTraceDistance:
         monkeypatch.setattr(
             hilbert, "half_trace_norm", lambda d: norms.append(d) or half_trace_norm(d)
         )
-        assert hilbert.trace_distance_below(rho, sigma, bound) is below
+        assert (hilbert.certified_trace_distance(rho, sigma, bound) < bound) is below
         assert len(norms) == 1
 
 
@@ -229,7 +229,8 @@ class TestCertifiedHalfTraceNorm:
         assert math.isnan(hilbert.certified_half_trace_norm(delta, self.TOL))
         lay = SubsystemLayout((3,), ("x",))
         rho = dm(lay, np.diag([0.5, 0.25, 0.25]))
-        assert not hilbert.trace_distance_below(rho, dm(lay, rho.data + delta), self.TOL)
+        sigma = dm(lay, rho.data + delta)
+        assert math.isnan(hilbert.certified_trace_distance(rho, sigma, self.TOL))
 
 
 class TestHalfTraceNorm:

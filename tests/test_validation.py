@@ -1,9 +1,11 @@
-"""The concurrent eigen-solve map behind every certification check."""
+"""The certification checks: every trace distance and snapshot eigenvalue is
+certified bound-first and matches a plain exact loop on its verdict, the
+positivity certificates run in pairs on the one worker thread, and each check
+fails on a seeded defect or a NaN."""
 
 import itertools
 import math
 import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,81 +25,25 @@ from cavsim import (
     trace_distance,
     validation,
 )
-from cavsim import hilbert
-from cavsim.hilbert import certified_half_trace_norm, half_trace_norm, trace_distance_below
+from cavsim import evolution, hilbert
+from cavsim.hilbert import certified_half_trace_norm, half_trace_norm
 from cavsim.validation import (
-    EIGEN_WORKERS,
     MIN_CKW_RESIDUAL,
     MIN_EIGENVALUE,
     SEMIGROUP_STAGES,
+    SEMIGROUP_TOL,
     STATE_TOL,
-    _eigen_map,
     _min_eigenvalue,
 )
 
-from conftest import random_density
+from conftest import random_density, run_halves_inline
 
 
-def slow_square(x):
-    time.sleep(0.002 * (x % 3))  # later items often finish first
-    return x * x
+class TestMinEigenvalue:
+    """Positivity certificates run two at a time, the second of each pair on the
+    worker thread of ``evolution._in_halves``."""
 
-
-class TestEigenMap:
-    def test_results_in_input_order(self):
-        assert list(_eigen_map(slow_square, range(12))) == [x * x for x in range(12)]
-
-    def test_empty(self):
-        assert list(_eigen_map(slow_square, [])) == []
-
-    def test_lazy(self):
-        pulled = []
-
-        def items():
-            for i in range(1000):
-                pulled.append(i)
-                yield i
-
-        assert list(itertools.islice(_eigen_map(slow_square, items()), 5)) == [0, 1, 4, 9, 16]
-        assert len(pulled) <= 5 + EIGEN_WORKERS
-
-    def test_never_more_than_workers_items_outstanding(self):
-        lock = threading.Lock()
-        pulled = finished = consumed = 0
-        outstanding = []
-
-        def items():
-            nonlocal pulled
-            for i in range(10):
-                pulled += 1
-                with lock:  # pulled but not finished, this item included
-                    outstanding.append(pulled - finished)
-                yield i
-
-        def work(x):
-            nonlocal finished
-            time.sleep(0.001)
-            with lock:
-                finished += 1
-            return x
-
-        for consumed, _ in enumerate(_eigen_map(work, items()), start=1):
-            assert pulled - consumed <= EIGEN_WORKERS
-        assert consumed == pulled == 10
-        assert max(outstanding) == EIGEN_WORKERS
-
-    def test_exception_propagates(self):
-        def fail_on_three(x):
-            if x == 3:
-                raise ValueError("item 3")
-            return x
-
-        results = _eigen_map(fail_on_three, range(6))
-        assert [next(results) for _ in range(3)] == [0, 1, 2]
-        with pytest.raises(ValueError, match="item 3"):
-            next(results)
-
-    def test_min_eigenvalue_validates_every_state(self, rng):
+    def test_min_eigenvalue_validates_every_state(self, rng, monkeypatch):
         layout = standard_layout(1, 1)
         good = DensityMatrix(layout, random_density(rng, layout.dim))
         bad = DensityMatrix(layout, good.data + np.triu(np.full((8, 8), 1e-3), 1))
@@ -108,6 +54,22 @@ class TestEigenMap:
         assert MIN_EIGENVALUE < certificate <= 0.0
         with pytest.raises(NonPhysicalState, match="Hermiticity"):
             _min_eigenvalue([good, good, bad, good])
+        monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", 0)  # the second state on the worker
+        with pytest.raises(NonPhysicalState, match="Hermiticity"):
+            _min_eigenvalue([good, bad])
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+    def test_pairs_on_the_worker_equal_a_plain_loop(self, rng, monkeypatch, count):
+        # eigenvalues below MIN_EIGENVALUE are solved for exactly, and the last state's is
+        # the most negative, so each state, an odd last one included, moves the result
+        spectra = [[-1e-3 * k, 1.0 + 1e-3 * k] + [0.0] * 6 for k in range(1, count + 1)]
+        states = [DensityMatrix(standard_layout(1, 1), np.diag(s) + 0j) for s in spectra]
+        expected = float(np.min([0.0, *map(validation._lowest_eigenvalue, states)]))
+        monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", 0)  # every pair on two threads
+        threaded = _min_eigenvalue(iter(states))
+        monkeypatch.setattr(validation, "_in_halves", run_halves_inline)
+        assert threaded == _min_eigenvalue(iter(states)) == expected
+        assert expected == pytest.approx(-1e-3 * count, abs=1e-12)
 
 
 def test_stage1_distances_match_a_plain_loop(monkeypatch):
@@ -121,7 +83,7 @@ def test_stage1_distances_match_a_plain_loop(monkeypatch):
         for i, t in enumerate(times):
             expected.append(trace_distance(rho_stage1(float(t), sc), dense.states[i]))
             expected.append(trace_distance(dense.states[i], branch.dense_state(i)))
-        got = list(_eigen_map(half_trace_norm, validation._stage1_differences(sc, times)))
+        got = list(map(half_trace_norm, validation._stage1_differences(sc, times)))
         assert got == expected  # bit for bit
         differences = validation._stage1_differences(sc, times)
         bounds = [certified_half_trace_norm(delta, STATE_TOL) for delta in differences]
@@ -163,24 +125,60 @@ def test_stage1_check_fails_on_a_seeded_defect(monkeypatch, defect):
     assert ad.detail == f"worst trace distance at most {exact:.3e} (tol 1.0e-08)"
 
 
+def exact_semigroup_gap(sc, step=stage_step):
+    rho = initial_density(sc)
+    one = (step(rho, stage, 9.0, sc) for stage in SEMIGROUP_STAGES)
+    two = (step(step(rho, stage, 4.0, sc), stage, 5.0, sc) for stage in SEMIGROUP_STAGES)
+    return max(map(trace_distance, one, two))
+
+
 def test_semigroup_gap_matches_a_plain_loop():
     sc = Scenario().variant(g=0.5, q=0.3, alpha=0.5, beta=0.5, n1=8, n2=8)
-    rho = initial_density(sc)
-    expected = max(
-        trace_distance(
-            stage_step(rho, stage, 9.0, sc),
-            stage_step(stage_step(rho, stage, 4.0, sc), stage, 5.0, sc),
-        )
-        for stage in SEMIGROUP_STAGES
-    )
-    assert validation._semigroup_gap(sc) == expected
+    expected, bound = exact_semigroup_gap(sc), validation._semigroup_gap(sc)
+    assert bound >= expected
+    assert (bound < SEMIGROUP_TOL) == (expected < SEMIGROUP_TOL)
 
 
-def test_quick_checks_do_not_depend_on_the_worker_count(monkeypatch):
+def test_semigroup_check_fails_on_a_seeded_defect(monkeypatch):
+    # a Hermitian error of trace distance 1e-8 in every one-step 9 us map, which
+    # the Frobenius bound cannot certify against 1e-9, so the exact distance is
+    # solved for and reported (a NaN is TestNanFailsTheCheck's)
+    exact_step = validation.stage_step
+
+    def defective(rho, stage, duration, sc):
+        out = exact_step(rho, stage, duration, sc)
+        error = np.diag([1e-8, -1e-8] + [0.0] * (out.dim - 2))
+        return DensityMatrix(out.layout, out.data + error) if duration == 9.0 else out
+
+    monkeypatch.setattr(validation, "stage_step", defective)
+    result = validation.semigroup_property()
+    assert not result.passed
+    exact = exact_semigroup_gap(Scenario().variant(g=0.5, q=0.3, alpha=1.0, beta=0.8), defective)
+    assert exact == pytest.approx(1e-8, rel=1e-6)
+    assert result.detail == f"worst trace distance at most {exact:.3e}"
+
+
+def test_quick_checks_do_not_depend_on_the_worker_thread(monkeypatch):
     # a change to the concurrent path that moves a value or the order of the
-    # results shows here; the exact values are left to numpy and OpenBLAS
+    # results shows here; the exact values are left to numpy and OpenBLAS.
+    # Every certificate runs on the calling thread or on evolution's one worker,
+    # and the threads alive during each are recorded, so a second pool shows too.
+    names = set()
+
+    def recording(fn):
+        def recorded(*args, **kwargs):
+            names.update(t.name for t in threading.enumerate())
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for name in ("certified_min_eigenvalue", "certified_half_trace_norm"):
+        monkeypatch.setattr(validation, name, recording(getattr(validation, name)))
     default = validation.quick_checks()
-    monkeypatch.setattr(validation, "EIGEN_WORKERS", 1)
+    assert all(result.passed for result in default)
+    assert {name for name in names if not name.startswith("cavsim-halves")} == {"MainThread"}
+    for module in (evolution, validation):
+        monkeypatch.setattr(module, "_in_halves", run_halves_inline)
     assert validation.quick_checks() == default
 
 
@@ -198,7 +196,7 @@ def test_branch_certification_matches_listed_trajectories(monkeypatch):
             failures += [
                 f"alpha=0.5 beta=0.5 g={g} q={q} t={t:.1f}"
                 for i, t in enumerate(times)
-                if not trace_distance_below(dense.states[i], branch.dense_state(i), STATE_TOL)
+                if not trace_distance(dense.states[i], branch.dense_state(i)) < STATE_TOL
             ]
             fields = validation.CONCURRENCES + ("purity",)
             worst = max(worst, validation._record_gap(dense.records(), branch.records(), fields))
@@ -231,11 +229,11 @@ class TestNanFailsTheCheck:
         assert result.detail.startswith("minimum eigenvalue at least nan")
 
     def test_semigroup_gap(self, monkeypatch):
-        distance = nan_on_call(validation._trace_distance_of, 3)
-        monkeypatch.setattr(validation, "_trace_distance_of", distance)
+        distance = nan_on_call(validation.certified_trace_distance, 3)
+        monkeypatch.setattr(validation, "certified_trace_distance", distance)
         result = validation.semigroup_property()
         assert not result.passed
-        assert result.detail == "worst trace distance nan"
+        assert result.detail == "worst trace distance at most nan"
 
     def test_record_gap(self, monkeypatch):
         # the lab-frame run's third record carries a NaN concurrence
@@ -270,11 +268,11 @@ class TestNanFailsTheCheck:
             validation.lindblad, "run_oracle", lambda sc, times: SimpleNamespace(states=[1, 2, 3])
         )
         monkeypatch.setattr(
-            validation, "_trace_distance_of", lambda pair: math.nan if pair[0] == 2 else 0.0
+            validation, "certified_trace_distance", lambda a, b, bound: math.nan if a == 2 else 0.0
         )
         result = validation.oracle_certification()
         assert not result.passed
-        assert result.detail.startswith("worst trace distance nan")
+        assert result.detail.startswith("worst trace distance at most nan")
 
     def test_ckw_residual(self, monkeypatch):
         residuals = iter([0.0, math.nan, 0.0])
