@@ -18,13 +18,13 @@ eigenvalue of ``sigma_z . - . sigma_z`` on the block (0 on diagonal dyads, +2 on
 ``|e><g|``, -2 on ``|g><e|``).  On the diagonal dyads F is real, so their
 kernels are real and multiply the float view of the complex blocks.
 
-Every pass of the dense stage map (the map's gathers, kernel products,
-scatters and Hermitian fill, the dispersive phases and the Ramsey rotation)
-runs in two disjoint halves: one on the calling thread, one on the module's
-single worker thread (made afresh in a forked child).  numpy releases the GIL
-inside these operations, and the halves make the very numpy and BLAS calls
-one thread would, so the results are bit-identical to a serial run.  A pass
-too small to repay the hand-over runs both halves on the calling thread.
+Every pass of a dense stage step runs in two disjoint halves, one on the
+calling thread and one on the module's worker thread (made afresh in a forked
+child): the map's kernel products by diagonals, each one whole BLAS call, and
+every copy and elementwise pass (the map's gathers, scatters and Hermitian fill,
+then the stage unitary in place) by its first axis (:func:`_split_rows`).  numpy
+releases the GIL inside them, and the results are bit-identical to a serial run
+on any BLAS.  A pass too small to repay the hand-over runs on the calling thread.
 
 Two equivalent backends are provided: a dense matrix backend
 (:func:`run_scenario`) and an exact coherent-branch backend
@@ -343,12 +343,11 @@ os.register_at_fork(after_in_child=_renew_halves_pool)
 def _in_halves(size: int, fn, first, second) -> tuple:
     """fn(*first) on the calling thread while the worker runs fn(*second); both results.
 
-    Returns ``(fn(*first), fn(*second))`` when both are done: the worker's half
-    is waited for also when the caller's half raises.  The two halves write
-    disjoint parts of their outputs, if any, and make the calls that the serial
-    pair makes, so the results are exactly those of the serial pair, which is
-    what runs for a pass of fewer than ``HALVES_MIN_SIZE`` entries (``size``),
-    where the hand-over would cost more than the half it moves.
+    Returns ``(fn(*first), fn(*second))`` when both are done, waiting for the
+    worker's half also when the caller's half raises.  The halves write disjoint
+    parts of their outputs, if any, so the results are those of the serial pair,
+    which runs below ``HALVES_MIN_SIZE`` entries (``size``), where the hand-over
+    costs more than it saves.  Copies and elementwise passes use :func:`_split_rows`.
     """
     if size < HALVES_MIN_SIZE:
         return fn(*first), fn(*second)
@@ -445,31 +444,54 @@ def _free_phases(scenario: Scenario, t: float):
     return atom, np.exp(-1j * scenario.omega_tilde(1) * t), np.exp(-1j * scenario.omega_tilde(2) * t)
 
 
+BLOCK_ROWS = 32  # rows per block of an elementwise pass, small enough to stay in cache
+
+
+def _apply_phases(data: np.ndarray, ph: np.ndarray) -> None:
+    """data[i, j] *= ph[i] conj(ph[j]) in place, a block of rows at a time."""
+    phc = ph.conj()
+
+    def rows(data, ph):
+        for i in range(0, len(ph), BLOCK_ROWS):
+            block = data[i : i + BLOCK_ROWS]
+            block *= ph[i : i + BLOCK_ROWS, None]
+            block *= phc
+
+    _split_rows(rows, data, ph)
+
+
+def _apply_rotation(data: np.ndarray, theta: float) -> None:
+    """data <- R data R^dag in place for R = exp(-i theta sigma_x) on the atom.
+
+    With X the flip of the atom index and (c, s) = (cos, sin) theta, this is
+    c^2 data + s^2 X data X + i c s (data X - X data), one block of (e, g) row
+    pairs at a time: a pair's new entries read only the pair's own.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+
+    def row_pairs(pairs):  # pairs[r, a, b] is row r of atom a, columns of atom b
+        for i in range(0, len(pairs), BLOCK_ROWS // 2):
+            p = pairs[i : i + BLOCK_ROWS // 2]
+            p[...] = c * c * p + s * s * p[:, ::-1, ::-1] + 1j * c * s * (p[:, :, ::-1] - p[:, ::-1])
+
+    _split_rows(row_pairs, data.reshape(2, len(data) // 2, 2, -1).transpose(1, 0, 2, 3))
+
+
 def _dress(rho: DensityMatrix, scenario: Scenario, t: float) -> DensityMatrix:
     """Free-Hamiltonian phases at elapsed time t on a rotating-frame DensityMatrix."""
     atom, q1, q2 = _free_phases(scenario, t)
-    f1 = _phase_powers(q1, rho.layout.dims[1])
-    f2 = _phase_powers(q2, rho.layout.dims[2])
-    ph = (np.array(atom)[:, None, None] * f1[None, :, None] * f2[None, None, :]).reshape(-1)
-    data = rho.data * ph[:, None]
-    data *= ph.conj()[None, :]
+    f1, f2 = map(_phase_powers, (q1, q2), rho.layout.dims[1:])
+    data = np.empty_like(rho.data)  # rho may be shared, so the passes run on a copy
+    _split_rows(np.copyto, data, rho.data)
+    _apply_phases(data, np.multiply.outer(np.multiply.outer(atom, f1), f2).reshape(-1))
     return DensityMatrix(rho.layout, data)
 
 
 def _rotate_atom(rho: DensityMatrix, theta: float) -> DensityMatrix:
     """Conjugate the atom of rho by the Ramsey rotation of pulse area theta."""
-    r2, rest = ramsey_unitary(theta), rho.layout.dims[1] * rho.layout.dims[2]
-    # R on the row atom index is one product; R* on the column atom index is a
-    # batch of 2 x 2 products, one per (row, field column).  Each runs in two
-    # halves: the batch split by rows, the product by columns at a multiple of
-    # 64, where (unlike at an odd cut) the halves equal the unsplit product
-    flat = rho.data.reshape(2, -1)
-    left, data = np.empty(flat.shape, dtype=complex), np.empty((rho.dim, rho.dim), dtype=complex)
-    cut = flat.shape[1] // 128 * 64
-    batch, rotated = left.reshape(2 * rest, 2, rest), data.reshape(2 * rest, 2, rest)
-    halves = [(r2, flat[:, cols], left[:, cols]) for cols in (slice(cut), slice(cut, None))]
-    _in_halves(flat.size, np.matmul, *halves)
-    _split_rows(functools.partial(np.matmul, r2.conj()), batch, rotated)
+    data = np.empty_like(rho.data)  # rho may be shared, so the passes run on a copy
+    _split_rows(np.copyto, data, rho.data)
+    _apply_rotation(data, theta)
     return DensityMatrix(rho.layout, data)
 
 
@@ -479,40 +501,18 @@ def _ramsey_area(scenario: Scenario, tau: float) -> float:
     return scenario.ramsey_angle * (tau / duration) if duration > 0 else 0.0
 
 
-PHASE_ROWS = 32  # rows per block of the dispersive phases, small enough to stay in cache
-
-
-def _phase_rows(data: np.ndarray, ph: np.ndarray, phc: np.ndarray) -> None:
-    # row and column phases per block of rows, in one pass over the rows
-    for i in range(0, len(ph), PHASE_ROWS):
-        block = data[i : i + PHASE_ROWS]
-        block *= ph[i : i + PHASE_ROWS, None]
-        block *= phc
-
-
-def stage_step(
-    rho: DensityMatrix, stage: StageKind, tau: float, scenario: Scenario
-) -> DensityMatrix:
-    """Advance rho by tau within one stage: dissipative map, then the stage unitary.
+def stage_step(rho: DensityMatrix, stage: StageKind, tau: float, scenario: Scenario) -> DensityMatrix:
+    """Advance rho by tau within one stage: dissipative map, then the stage unitary in place.
 
     This is a rotating-frame map: ``scenario.frame`` is not read.
     """
     out = dissipative_map(rho, stage, tau, scenario)
-    data, dims = out.data, rho.layout.dims
-    for axis, omega in enumerate(scenario.omega_active(stage), start=1):
-        if tau > 0 and omega != 0:
-            # rows EXCITED = 0, GROUND = 1, broadcast over the other field
-            shape = [2, 1, 1]
-            shape[axis] = dims[axis]
-            ph = np.stack(_dispersive_phases(omega, tau, dims[axis])).reshape(shape)
-            ph = np.broadcast_to(ph, dims).reshape(-1)
-            phc = ph.conj()
-            # two halves of whole row blocks
-            cut = PHASE_ROWS * -(-len(ph) // (2 * PHASE_ROWS))
-            halves = [(data[rows], ph[rows], phc) for rows in (slice(cut), slice(cut, None))]
-            _in_halves(data.size, _phase_rows, *halves)
+    if tau > 0 and any(omegas := scenario.omega_active(stage)):
+        # rows EXCITED = 0, GROUND = 1; the phases of a field at omega = 0 are exactly 1
+        (e1, g1), (e2, g2) = map(_dispersive_phases, omegas, (tau, tau), rho.layout.dims[1:])
+        _apply_phases(out.data, np.stack([np.outer(e1, e2), np.outer(g1, g2)]).reshape(-1))
     if stage is StageKind.RAMSEY and (theta := _ramsey_area(scenario, tau)):
-        return _rotate_atom(out, theta)
+        _apply_rotation(out.data, theta)
     return out
 
 
@@ -626,7 +626,7 @@ def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
     ``rotate(state, scenario.ramsey_angle)``.  The walk stops at the last
     sample: its stage receives only the samples' elapsed times, and no later
     stage is advanced or rotated.  A walk keeps no snapshot once it has yielded
-    it, apart from what ``advance`` keeps.
+    it, apart from what the current stage's ``advance`` keeps.
     """
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if times.size == 0:
@@ -645,11 +645,11 @@ def _traverse(scenario: Scenario, sample_times, state, advance, rotate):
         start = state
         for k, (stage, duration) in enumerate(zip(STAGE_ORDER, scenario.stage_durations)):
             taus = times[stage_of == k] - bounds[k]
-            if k == stage_of[-1]:  # the walk ends at the last sample
-                yield from advance(start, stage, taus)
-                return
-            stepped = iter(advance(start, stage, np.append(taus, duration)))
+            last = k == stage_of[-1]  # the walk ends at the last sample
+            stepped = iter(advance(start, stage, taus if last else np.append(taus, duration)))
             yield from itertools.islice(stepped, taus.size)
+            if last:
+                return
             start = next(stepped)
             if duration == 0 and stage is StageKind.RAMSEY and scenario.ramsey_angle != 0.0:
                 start = rotate(start, scenario.ramsey_angle)

@@ -212,12 +212,18 @@ class TestDenseKernels:
             assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b)), o
 
     @pytest.mark.parametrize("theta", [0.3, math.pi / 2])
-    def test_rotate_atom_is_explicit_conjugation(self, rng, theta):
-        layout = standard_layout(3, 4)
-        rho = DensityMatrix(layout, random_density(rng, layout.dim))
-        r = np.kron(ramsey_unitary(theta), np.eye(layout.dim // 2))
-        got = _rotate_atom(rho, theta).data
-        assert np.max(np.abs(got - r @ rho.data @ r.conj().T)) < 1e-15
+    def test_rotate_atom_is_explicit_conjugation(self, rng, monkeypatch, theta):
+        # (15, 17) is above HALVES_MIN_SIZE: its passes also run with the worker thread
+        for n1, n2 in ((3, 4), (15, 17)):
+            layout = standard_layout(n1, n2)
+            rho = DensityMatrix(layout, random_density(rng, layout.dim))
+            r = np.kron(ramsey_unitary(theta), np.eye(layout.dim // 2))
+            want = r @ rho.data @ r.conj().T
+            for min_size in (evolution.HALVES_MIN_SIZE, 0):
+                monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", min_size)
+                got = _rotate_atom(rho, theta).data
+                assert np.max(np.abs(got - want)) < 1e-15, (n1, n2, min_size)
+            monkeypatch.undo()
 
 
 class TestStageStep:
@@ -250,6 +256,29 @@ class TestStageStep:
     def test_semigroup_property(self, stage):
         sc = margin_scenario(alpha=1.0, beta=0.8, g=0.5, q=0.3)
         assert _semigroup_gap(sc, (stage,)) < SEMIGROUP_TOL  # 1e-9
+
+    def test_unitary_passes_leave_their_input_unchanged(self, rng):
+        # the stage unitary runs in place, on the map's output or on a copy
+        sc = Scenario().variant(alpha=1.0, beta=0.8, g=0.5, q=0.3, phi=0.4, frame="lab")
+        rho = initial_density(sc)
+        rho = DensityMatrix(rho.layout, random_density(rng, rho.dim))
+        kept = rho.data.copy()
+        stage_step(rho, StageKind.CAVITY1, 7.0, sc)
+        stage_step(rho, StageKind.RAMSEY, 7.0, sc)
+        _rotate_atom(rho, 0.7)
+        evolution._dress(rho, sc, 13.0)
+        assert np.array_equal(rho.data, kept)
+
+    def test_zero_duration_kick_leaves_yielded_sample_unchanged(self, monkeypatch):
+        # the sample on FREE1's end is the very state that the Ramsey kick rotates
+        sc = margin_scenario(alpha=0.5, beta=0.5, g=0.3, q=0.6, extra=0,
+                             stage_durations=(30.0, 10.0, 0.0, 10.0, 30.0))
+        rotate, kicked, kept = evolution._rotate_atom, [], []
+        monkeypatch.setattr(evolution, "_rotate_atom", lambda st, theta: kicked.append(st) or rotate(st, theta))
+        for st in run_scenario(sc, [20.0, 40.0, 45.0]).snapshots():
+            kept.append((st, st.data.copy()))
+        assert len(kicked) == 1 and kicked[0] is kept[1][0]
+        assert all(np.array_equal(st.data, data) for st, data in kept)
 
     def test_trace_preserved_every_step(self):
         sc = margin_scenario(alpha=1.0, beta=1.0, g=1.0, q=1.0)
@@ -299,8 +328,10 @@ def dense_last_purity(sc: Scenario) -> float:
 
 
 class TestThreadedHalves:
-    """Each pass of the dense map, the dispersive phases and the Ramsey rotation
-    runs in two halves, the second on a worker thread (``evolution._in_halves``)."""
+    """Each pass of a dense stage step and of the lab dressing runs in two halves,
+    the second on a worker thread (``evolution._in_halves``): the map's kernel
+    products split by diagonals, every copy and elementwise pass by rows
+    (``evolution._split_rows``)."""
 
     @pytest.mark.parametrize(
         "g, q", [(0.5, 0.3), (0.0, 0.7), (0.0, 0.0)], ids=["lossy", "field2", "lossless"]
@@ -311,9 +342,11 @@ class TestThreadedHalves:
         stages = (StageKind.CAVITY1, StageKind.RAMSEY, StageKind.CAVITY2)
         monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", 0)  # every pass on two threads
         threaded = [stage_step(rho, stage, 7.0, sc).data for stage in stages]
+        dressed = evolution._dress(rho, sc.variant(frame="lab"), 13.0).data
         monkeypatch.setattr(evolution, "_in_halves", run_halves_inline)
         for stage, want in zip(stages, threaded):
             assert np.array_equal(stage_step(rho, stage, 7.0, sc).data, want), stage
+        assert np.array_equal(evolution._dress(rho, sc.variant(frame="lab"), 13.0).data, dressed)
 
     def test_small_passes_stay_on_the_calling_thread(self):
         # both paths return (fn(*first), fn(*second))
@@ -321,18 +354,6 @@ class TestThreadedHalves:
         assert evolution._in_halves(size - 1, threading.get_ident, (), ()) == (here, here)
         first, second = evolution._in_halves(size, threading.get_ident, (), ())
         assert first == here != second
-
-    @pytest.mark.parametrize("n1, n2", [(4, 6), (15, 17), (26, 26)])
-    def test_rotation_halves_equal_the_unsplit_products(self, rng, monkeypatch, n1, n2):
-        # the row product is cut by columns: the halves must round as the whole does
-        layout = standard_layout(n1, n2)
-        data = rng.normal(size=(layout.dim,) * 2) + 1j * rng.normal(size=(layout.dim,) * 2)
-        r2, rest = ramsey_unitary(0.7), layout.dim // 2
-        left = (r2 @ data.reshape(2, -1)).reshape(2 * rest, 2, rest)
-        want = np.matmul(r2.conj(), left).reshape(layout.dim, layout.dim)
-        for min_size in (evolution.HALVES_MIN_SIZE, 0):
-            monkeypatch.setattr(evolution, "HALVES_MIN_SIZE", min_size)
-            assert np.array_equal(evolution._rotate_atom(DensityMatrix(layout, data), 0.7).data, want)
 
     @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 3), (1, 12), (27, 2), (12, 27)])
     def test_real_kernels_match_complex(self, rng, d1, d2):
@@ -738,6 +759,12 @@ class TestStreamedTrajectory:
         snapshot_bytes = initial_density(sc).data.nbytes
         # a trajectory that kept its snapshots would hold 18 more of them at 24 samples
         assert records_peak_bytes(sc, 24) - records_peak_bytes(sc, 6) <= snapshot_bytes
+
+    def test_records_peak_stays_below_four_snapshots(self):
+        # the stage-start state, the one sample being extracted and the map's output
+        # and work buffers; the walk used to keep the previous stage's start too
+        sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
+        assert records_peak_bytes(sc, 13) <= 4 * initial_density(sc).data.nbytes
 
     def test_dense_state_keeps_one_snapshot(self):
         sc = Scenario().variant(g=0.5, q=0.5, alpha=1.0, beta=1.0)
