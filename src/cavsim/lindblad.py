@@ -9,8 +9,17 @@ raw states.
 
 Per stage, every diagonal term of the generator (the dispersive commutator and
 the -gamma (n rho + rho n) loss) is one precomputed D x D factor, so an apply is
-that elementwise product, the two shifted jump slices a rho a^dag (with 2 gamma
-folded into their sqrt(n m) factors) and, in the Ramsey zone, one atomic swap.
+that elementwise product and the two shifted jump slices a rho a^dag (with 2 gamma
+folded into their sqrt(n m) factors).
+
+In the Ramsey zone the drive H = r sigma_x acts on the atom alone, the loss on the
+fields alone, and no dispersive term is active, so the two generators commute and
+exp(tau L) = exp(tau L_R) exp(tau L_loss) exactly.  The zone is therefore integrated
+with the loss generator of a free flight, and each state is then pulsed in closed
+form by R = exp(-i theta sigma_x), theta the pulse area so far (the integrating-factor
+form of the step, Lawson, SIAM J. Numer. Anal. 4, 372 (1967)).  The pulse is this
+module's own (:func:`_pulse`): the oracle shares no rotation code with the dense
+backend it certifies.
 
 Error control is step doubling: an attempt is one full step and two half steps
 (three ``_rk4`` calls), accepted when max|full - halves| <= ``ABS_TOL``.  For the
@@ -36,7 +45,7 @@ from .evolution import (
     StageKind,
     Trajectory,
     _density_start,
-    _rotate_atom,
+    _ramsey_area,
     _traverse,
 )
 from .exceptions import StepUnderflow
@@ -76,10 +85,6 @@ class _StageGenerator:
         jump2 = 2.0 * scenario.gamma_2 * np.multiply.outer(sq2, sq2)
         self.jump1 = jump1[:, None, None, :, None] if scenario.gamma_1 > 0 else None
         self.jump2 = jump2[:, None, None, :] if scenario.gamma_2 > 0 else None
-        duration = scenario.stage_durations[2]
-        rate = scenario.ramsey_angle / duration if stage is StageKind.RAMSEY and duration > 0 else 0.0
-        # H = rate sigma_x: -i [H, rho] swaps the atomic index on either side
-        self.ramsey = -1j * rate
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = self.diag * rho
@@ -88,11 +93,33 @@ class _StageGenerator:
             o[:, :-1, :, :, :-1] += self.jump1 * t[:, 1:, :, :, 1:]
         if self.jump2 is not None:
             o[:, :, :-1, :, :, :-1] += self.jump2 * t[:, :, 1:, :, :, 1:]
-        if self.ramsey:
-            u = self.ramsey * t
-            o += u[::-1]
-            o -= u[:, :, :, ::-1]
         return out
+
+
+def _pulse(data: np.ndarray, theta: float) -> np.ndarray:
+    """data <- R data R^dag in place for R = exp(-i theta sigma_x) on the atom.
+
+    The atom is the slow index, so R mixes the two halves x, y of the rows, then
+    R^dag those of the columns.  In the sigma_x eigenbasis R multiplies x + y by
+    e^{-i theta} and x - y by e^{i theta}, R^dag by the conjugates: one half-size
+    temporary per pass.
+    """
+    n, rotor = len(data) // 2, complex(math.cos(theta), -math.sin(theta))  # e^{-i theta}
+    for view, phase in ((data, rotor), (data.T, rotor.conjugate())):
+        x, y = view[:n], view[n:]
+        plus = x + y
+        plus *= phase
+        x -= y
+        x *= phase.conjugate()
+        np.subtract(plus, x, out=y)
+        y *= 0.5  # the new y, (plus - minus) / 2
+        x += y  # the new x, minus + y
+    return data
+
+
+def _kick(rho: DensityMatrix, theta: float) -> DensityMatrix:
+    """The pulse of a zero-duration Ramsey zone, on a copy (rho may be a snapshot)."""
+    return DensityMatrix(rho.layout, _pulse(rho.data.copy(), theta))
 
 
 def _powers(gen: _StageGenerator, rho: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -185,9 +212,19 @@ def run_oracle(scenario: Scenario, sample_times, initial: DensityMatrix | None =
             return [rho] * len(taus)
         gen = _StageGenerator(scenario, stage, rho.layout.dims)
         states, _, _ = _advance(gen, rho.data, targets)
+        if stage is StageKind.RAMSEY and scenario.ramsey_angle != 0.0:
+            # the drive commutes with the loss: pulse each distinct state once, by the area
+            # of its first target; the stage-start array may be a snapshot, so it is copied
+            pulsed, last = [], None
+            for tau, data in zip(targets, states):
+                if data is not last:
+                    last, theta = data, _ramsey_area(scenario, tau)
+                    pulse = _pulse(data.copy() if data is rho.data else data, theta)
+                pulsed.append(pulse)
+            states = pulsed
         return [DensityMatrix(rho.layout, data) for data in states]
 
-    times, walk = _traverse(scenario, sample_times, state, advance, _rotate_atom)
+    times, walk = _traverse(scenario, sample_times, state, advance, _kick)
     states = list(walk())  # integrated up front, so errors surface here
     for st in states:
         st.validate()

@@ -873,15 +873,16 @@ class TestWalkEndsAtLastSample:
         oracle_controls(abs_tol=1e-9)
         full = run_oracle(self.SC, self.TIMES + [self.SC.total_time()])
         targets, rotations = [], []
-        advance, rotate = lindblad._advance, lindblad._rotate_atom
+        advance, pulse = lindblad._advance, lindblad._pulse
 
         def counted_advance(gen, rho, stage_targets):
             targets.append(list(stage_targets))
             return advance(gen, rho, stage_targets)
 
         monkeypatch.setattr(lindblad, "_advance", counted_advance)
+        # the oracle's own pulse, of the zero-duration kick and of in-zone states alike
         monkeypatch.setattr(
-            lindblad, "_rotate_atom", lambda st, theta: rotations.append(theta) or rotate(st, theta)
+            lindblad, "_pulse", lambda data, theta: rotations.append(theta) or pulse(data, theta)
         )
         traj = run_oracle(self.SC, self.TIMES)
         monkeypatch.undo()

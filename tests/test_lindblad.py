@@ -35,8 +35,11 @@ def liouvillian_apply(rho: DensityMatrix, stage: StageKind, sc: Scenario) -> np.
     return lindblad._StageGenerator(sc, stage, rho.layout.dims).apply(rho.data)
 
 
-def kron_generator(rho: np.ndarray, stage: StageKind, sc: Scenario) -> np.ndarray:
-    """-i [H, rho] + sum_i gamma_i (2 a rho a^dag - a^dag a rho - rho a^dag a) from np.kron."""
+def kron_generator(rho: np.ndarray, stage: StageKind, sc: Scenario, drive: bool = True) -> np.ndarray:
+    """-i [H, rho] + sum_i gamma_i (2 a rho a^dag - a^dag a rho - rho a^dag a) from np.kron.
+
+    ``drive=False`` leaves the Ramsey drive out of H.
+    """
     d1, d2 = sc.n1 + 1, sc.n2 + 1
     a1 = np.kron(np.eye(2), np.kron(np.diag(np.sqrt(np.arange(1, d1)), 1), np.eye(d2)))
     a2 = np.kron(np.eye(2 * d1), np.diag(np.sqrt(np.arange(1, d2)), 1))
@@ -48,7 +51,7 @@ def kron_generator(rho: np.ndarray, stage: StageKind, sc: Scenario) -> np.ndarra
     for omega, a in zip(sc.omega_active(stage), (a1, a2)):
         num = a.conj().T @ a
         h += omega * (excited @ (num + ident) - ground @ num)
-    if stage is StageKind.RAMSEY:
+    if drive and stage is StageKind.RAMSEY:
         h += sc.ramsey_angle / sc.stage_durations[2] * sigma_x
     out = -1j * (h @ rho - rho @ h)
     for gamma, a in ((sc.gamma_1, a1), (sc.gamma_2, a2)):
@@ -60,7 +63,8 @@ def kron_generator(rho: np.ndarray, stage: StageKind, sc: Scenario) -> np.ndarra
 class TestLiouvillianApply:
     @pytest.mark.parametrize("stage", list(StageKind))
     def test_matches_kron_construction(self, stage):
-        # asymmetric cutoffs and large rates, so every term and index shows
+        # asymmetric cutoffs and large rates, so every term and index shows; the Ramsey
+        # drive is no term of the generator (the oracle pulses it in closed form)
         sc = Scenario().variant(
             n1=3, n2=4, omega_1=0.4, omega_2=0.7, Omega_1=None, Omega_2=None,
             g=0.3, q=0.2, ramsey_angle=0.9, stage_durations=(3.0, 1.0, 2.0, 1.0, 3.0),
@@ -68,7 +72,7 @@ class TestLiouvillianApply:
         layout = standard_layout(sc.n1, sc.n2)
         rho = random_density(np.random.default_rng(7), layout.dim)
         got = liouvillian_apply(DensityMatrix(layout, rho), stage, sc)
-        want = kron_generator(rho, stage, sc)
+        want = kron_generator(rho, stage, sc, drive=False)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_zero_generator(self):
@@ -383,3 +387,95 @@ class TestOracleVsDense:
         a = run_oracle(sc, [20.0]).states[0]
         b = run_oracle(rot, [20.0]).states[0]
         assert trace_distance(a, b) < 1e-12
+
+
+def yielded_copies(monkeypatch) -> list:
+    """Copy of every snapshot's data, taken as the oracle's walk yields it."""
+    copies, traverse = [], lindblad._traverse
+
+    def copying_traverse(*args):
+        times, walk = traverse(*args)
+
+        def copying_walk():
+            for state in walk():
+                copies.append(state.data.copy())
+                yield state
+
+        return times, copying_walk
+
+    monkeypatch.setattr(lindblad, "_traverse", copying_traverse)
+    return copies
+
+
+class TestRamseyPulse:
+    """The Ramsey zone integrates the loss only, then pulses each state in closed form."""
+
+    SC = Scenario().variant(
+        alpha=0.5, beta=0.5, g=0.3, q=0.2, phi=0.9, n1=8, n2=8,
+        stage_durations=(3.0, 1.0, 2.0, 1.0, 3.0),
+    )
+    ENTRY = 4.0  # cavity 1 and free flight 1
+
+    @staticmethod
+    def checked_run(monkeypatch, oracle_controls, sc, times):
+        oracle_controls(abs_tol=1e-10)
+        copies = yielded_copies(monkeypatch)
+        oracle = run_oracle(sc, times)
+        # no snapshot was written to after it was yielded
+        assert len(copies) == len(times)
+        assert all(np.array_equal(st.data, c) for st, c in zip(oracle.states, copies))
+        dense = run_scenario(sc, times)
+        for a, b in zip(oracle.states, dense.states):
+            assert trace_distance(a, b) < 1e-6
+        return oracle.states
+
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_stage_matches_full_generator(self, tau):
+        # the loss-only integration and the closed-form pulse against a fixed-step classic
+        # RK4 of the full generator, drive included
+        sc = Scenario().variant(
+            n1=3, n2=4, g=0.3, q=0.2, ramsey_angle=0.9, stage_durations=(0.0, 0.0, 2.0, 0.0, 0.0),
+        )
+        layout = standard_layout(sc.n1, sc.n2)
+        rho = random_density(np.random.default_rng(3), layout.dim)
+        got = run_oracle(sc, [tau], initial=DensityMatrix(layout, rho)).states[0].data
+        steps = math.ceil(tau / 1e-3)
+        h, want = tau / steps, rho
+
+        def rate(x):
+            return kron_generator(x, StageKind.RAMSEY, sc)
+
+        for _ in range(steps):
+            k1 = rate(want)
+            k2 = rate(want + 0.5 * h * k1)
+            k3 = rate(want + 0.5 * h * k2)
+            k4 = rate(want + h * k3)
+            want = want + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_entry_sample_keeps_free1_end(self, monkeypatch, oracle_controls):
+        # 1e-13 us into the zone needs no RK4 step: the pulse must act on a copy
+        times = [self.ENTRY, self.ENTRY + 1e-13, self.ENTRY + 1.0]
+        states = self.checked_run(monkeypatch, oracle_controls, self.SC, times)
+        assert trace_distance(states[0], states[1]) < 1e-12
+
+    def test_equal_samples_pulsed_once(self, monkeypatch, oracle_controls):
+        t = self.ENTRY + 0.7
+        states = self.checked_run(monkeypatch, oracle_controls, self.SC, [t, t, self.ENTRY + 2.0])
+        assert np.array_equal(states[0].data, states[1].data)
+
+    def test_zero_duration_kick_keeps_free1_end(self, monkeypatch, oracle_controls):
+        sc = self.SC.variant(stage_durations=(3.0, 1.0, 0.0, 1.0, 3.0))
+        self.checked_run(monkeypatch, oracle_controls, sc, [self.ENTRY, self.ENTRY + 0.5])
+
+    def test_ramsey_steps_like_free_flight(self, monkeypatch):
+        # free flight 1 and the Ramsey zone integrate the same generator over the same time
+        counts = count_integrator_hooks(monkeypatch)
+        sc = margin_scenario(alpha=0.2, beta=0.2, g=0.05, q=0.05, extra=0).variant(
+            stage_durations=(5.0, 10.0, 10.0, 5.0, 5.0)
+        )
+        run_oracle(sc, [5.0, sc.total_time()])
+        steps = [result[2] for result in counts["advance"]]
+        assert len(steps) == len(STAGE_ORDER)
+        assert steps[1] == steps[2] > 0
+        assert counts["rk4"] == 3 * accepted_steps(counts)  # every attempt accepted
